@@ -73,6 +73,10 @@ class DivergenceSpec:
     ``phi`` returns ``+inf`` for negative arguments; ``phi_prime`` is the
     right subderivative (``-inf`` allowed at 0); ``psi_prime`` maps into
     ``[0, inf)`` and doubles as the maximiser of ``x*y - phi(x)``.
+    ``psi_second`` is the derivative of ``psi_prime`` (right derivative at
+    kinks, 0 where ``psi_prime`` vanishes), or None when the spec has no
+    closed form for it; the inner shift solve of :mod:`divrisk.risk` takes
+    Newton steps with it and bisects without it.
     """
 
     name: str
@@ -84,6 +88,7 @@ class DivergenceSpec:
     delta2: bool
     has_closed_conjugate: bool
     delta2_constants: Optional[Tuple[float, float]] = None  # (T, k) for the probe
+    psi_second: Optional[Callable] = None
 
     def __repr__(self):  # keep reprs short; callables are noise
         return f"DivergenceSpec({self.name!r})"
@@ -133,6 +138,7 @@ def _kl_spec() -> DivergenceSpec:
         delta2=True,
         has_closed_conjugate=True,
         delta2_constants=(2.0, 4.0),  # 2x*log(2x) <= 4*x*log(x) for x >= 2
+        psi_second=_wrap(psi),
     )
 
 
@@ -149,6 +155,9 @@ def _chi2_spec() -> DivergenceSpec:
     def psi_prime(y):
         return np.maximum(0.0, 1.0 + 0.5 * y)
 
+    def psi_second(y):
+        return np.where(y > -2.0, 0.5, 0.0)
+
     return DivergenceSpec(
         name="chi2",
         phi=_wrap(phi),
@@ -159,6 +168,7 @@ def _chi2_spec() -> DivergenceSpec:
         delta2=True,
         has_closed_conjugate=True,
         delta2_constants=(2.0, 9.0),  # ((2x-1)/(x-1))**2 <= 9 for x >= 2
+        psi_second=_wrap(psi_second),
     )
 
 
@@ -187,16 +197,19 @@ def _power_spec(p: float) -> DivergenceSpec:
         u = np.maximum(0.0, 1.0 + (p - 1.0) * y)
         return np.power(u, 1.0 / (p - 1.0))
 
-    # the ratio phi(2x)/phi(x) decreases towards 2**p on [2, inf); declare its
-    # sampled supremum with a small safety margin
-    grid = np.logspace(math.log10(2.0), 6.0, 4096)
-    val = (np.power(grid, p) - p * grid + p - 1.0) / denom
-    val2 = (np.power(2.0 * grid, p) - 2.0 * p * grid + p - 1.0) / denom
-    k = float(np.max(val2 / val)) * 1.02
+    def psi_second(y):
+        u = np.maximum(0.0, 1.0 + (p - 1.0) * y)
+        # u**(negative) is inf at u = 0 for p > 2; psi' vanishes there
+        return np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0) - 1.0), 0.0)
+
+    phi_w = _wrap(phi)
+    # phi(2x)/phi(x) decreases on [2, inf) (towards 2**p), so its supremum
+    # there is the value at x = 2
+    k = phi_w(4.0) / phi_w(2.0)
 
     return DivergenceSpec(
         name=f"power:{p:g}",
-        phi=_wrap(phi),
+        phi=phi_w,
         phi_prime=_wrap(phi_prime),
         psi=_wrap(psi),
         psi_prime=_wrap(psi_prime),
@@ -204,6 +217,7 @@ def _power_spec(p: float) -> DivergenceSpec:
         delta2=True,
         has_closed_conjugate=True,
         delta2_constants=(2.0, k),
+        psi_second=_wrap(psi_second),
     )
 
 
@@ -326,7 +340,8 @@ def validate_divergence(spec: DivergenceSpec, n_grid: int = 64) -> None:
 
     Raises InvalidParameterError on violation.  Covers: phi(1) = 0, finite
     phi(0), convexity, superlinear growth, psi >= identity, psi
-    non-decreasing, and Fenchel-Young with equality along y = phi'(x).
+    non-decreasing, psi_second (when given) as the derivative of psi', and
+    Fenchel-Young with equality along y = phi'(x).
     """
     if not math.isfinite(spec.phi_at_zero) or spec.phi_at_zero < 0:
         raise InvalidParameterError(f"{spec.name}: phi(0) must be finite and nonnegative")
@@ -366,6 +381,22 @@ def validate_divergence(spec: DivergenceSpec, n_grid: int = 64) -> None:
         raise InvalidParameterError(f"{spec.name}: psi(y) >= y fails on sampled grid")
     if np.any(np.diff(psis) < -1e-12):
         raise InvalidParameterError(f"{spec.name}: psi not non-decreasing on sampled grid")
+
+    # psi'' against a central difference of psi', at the grid points where
+    # psi' is smooth on the scale of the difference (no kink within h)
+    if spec.psi_second is not None:
+        h = 1e-6 * np.maximum(1.0, np.abs(ys))
+        mid = np.asarray(spec.psi_prime(ys))
+        left = (mid - np.asarray(spec.psi_prime(ys - h))) / h
+        right = (np.asarray(spec.psi_prime(ys + h)) - mid) / h
+        central = 0.5 * (left + right)
+        scale = np.maximum(1.0, np.abs(central))
+        smooth = np.abs(right - left) <= 1e-3 * scale
+        off = np.abs(np.asarray(spec.psi_second(ys)) - central) > 1e-5 * scale
+        if np.any(smooth & off):
+            raise InvalidParameterError(
+                f"{spec.name}: psi_second disagrees with a central difference of psi_prime"
+            )
 
     # Fenchel-Young inequality plus equality along y = phi'(x)
     xf = np.linspace(0.05, 6.0, 25)

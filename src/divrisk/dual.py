@@ -228,10 +228,11 @@ def _density_family_scan(dist, spec, beta, num=80):
         return []
     y = (dist.atoms[None, :] - lo) / spread
     out = []
+    nu = None
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for t in np.logspace(-9, np.log10(2.0 / beta + 1.0), num):
             tv = np.array([t])
-            nu = _solve_inner_nu(y, dist.probs, spec, tv)
+            nu = _solve_inner_nu(y, dist.probs, spec, tv, nu)
             z = np.asarray(spec.psi_prime((y - nu[:, None]) / tv[:, None]))[0]
             if not np.all(np.isfinite(z)):
                 continue

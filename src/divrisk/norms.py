@@ -142,9 +142,12 @@ def young_norm_bound(dist: EmpiricalDistribution, pair: YoungPair) -> float:
 def truncation_level(z_dist: EmpiricalDistribution, lam: float) -> float:
     """The level c in [essinf(|Z|/lam), 1] with E max{c, |Z|/lam} = 1.
 
-    The map is Lipschitz-1 and strictly increasing on the bracket, so
-    bisection applies; at lam = E|Z| the boundary value essinf(|Z|/lam) is
-    returned, and for constant Z the level is identically one.
+    With s = |Z|/lam sorted ascending, E max{c, S} is linear in c between
+    consecutive atoms: on s_k <= c <= s_(k+1) it equals c*P_k + tail_k, with
+    P_k = P(S <= s_k) and tail_k = E[S; S > s_k].  The level is therefore
+    (1 - tail_k) / P_k on the first segment whose right end reaches one.  At
+    lam = E|Z| the boundary value essinf(|Z|/lam) is returned, and for
+    constant Z the level is identically one.
     """
     w = np.abs(z_dist.atoms)
     p = z_dist.probs
@@ -159,18 +162,15 @@ def truncation_level(z_dist: EmpiricalDistribution, lam: float) -> float:
     if lam <= ez * (1.0 + 1e-15):
         return float(scaled.min())
 
-    def mean_trunc(c: float) -> float:
-        return float(np.dot(p, np.maximum(c, scaled)))
-
-    lo = float(scaled.min())
-    hi = 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mean_trunc(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    order = np.argsort(scaled)
+    s = scaled[order]
+    mass = np.cumsum(p[order])
+    tail = np.append(np.cumsum((p[order] * s)[::-1])[-2::-1], 0.0)
+    k = int(np.searchsorted(s * mass + tail, 1.0))  # E max{s_k, S} first >= 1
+    if k == 0:
+        return float(s[0])
+    c = (1.0 - tail[k - 1]) / mass[k - 1]
+    return float(min(max(c, s[k - 1]), s[k] if k < s.size else 1.0))
 
 
 def dual_norm(z_dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> float:

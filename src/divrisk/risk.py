@@ -5,11 +5,16 @@ The risk of a loss X at aversion beta > 0 is
     rho(X) = inf_{t > 0, mu} t * (beta + mu + E psi(X/t - mu)),
 
 a jointly convex problem.  The evaluator works in the translated variable
-nu = t * mu, solving E psi'((X - nu)/t) = 1 for nu by bisection (the inner
-first-order condition) and minimising the resulting one-variable objective
-over log t by golden section.  The derivative of that outer objective is
-beta - E phi(psi'((X - nu)/t)), so interior optima solve the characterizing
-system
+nu = t * mu, solving the inner first-order condition E psi'((X - nu)/t) = 1
+for nu and minimising the resulting one-variable objective over log t by
+golden section.  nu is the shift variable of the optimized certainty
+equivalent (Ben-Tal & Teboulle, Math. Finance 2007); for kl the objective in
+t is the entropic value-at-risk (Ahmadi-Javid, JOTA 2012).  The inner solve
+works on the exact bracket [min X - c*t, max X - c*t] with c = phi'(1),
+takes safeguarded Newton steps built from the spec's psi'' (bisection steps
+for specs without one), and starts from the previous probe's shift.  The
+derivative of the outer objective is beta - E phi(psi'((X - nu)/t)), so
+interior optima solve the characterizing system
 
     1    = E psi'((X - nu)/t),
     beta = E phi(psi'((X - nu)/t)),
@@ -48,7 +53,9 @@ __all__ = [
 _T_FLOOR = 1e-13       # left end of the log-t bracket
 _ATTAIN_CUTOFF = 1e-10  # below this t the infimum is treated as unattained
 _GOLDEN_ITERS = 60
-_INNER_ITERS = 48
+_WIDEN_ITERS = 64        # doublings allowed for a failed inner bracket end
+_INNER_MAX_ITERS = 100   # Newton/bisection steps allowed per inner solve
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,54 +80,120 @@ def _check_beta(beta) -> float:
     return beta
 
 
-def _solve_inner_nu(y, probs, spec, t):
+def _expect(vals, probs):
+    """Row-wise E vals.  einsum keeps this single-threaded and free of
+    temporaries; a BLAS matrix-vector product pays a thread wake-up on every
+    call, which costs more than the sum itself at these sizes."""
+    return np.einsum("ij,j->i", np.asarray(vals), probs)
+
+
+def _solve_inner_nu(y, probs, spec, t, nu0=None):
     """Solve E psi'((y - nu)/t) = 1 for nu, row-wise.
 
-    y: (m, n) atoms, t: (m,) positive.  The map is non-increasing in nu, so
-    plain bisection applies; the left end is pushed out geometrically until
-    the expectation exceeds one.
+    y: (m, n) atoms, t: (m,) positive, nu0: optional (m,) starting shifts,
+    typically those of the previous probe in t.  The residual
+    f(nu) = E psi'((y - nu)/t) - 1 is non-increasing in nu.  With
+    c = phi'(1), Fenchel equality at x = 1 gives psi'(c) = 1, so
+    [min y - c*t, max y - c*t] is an exact bracket: f >= 0 at its left end
+    and f <= 0 at its right end.  Both signs are checked; an end whose check
+    fails (round-off in the probabilities, or an inexact numeric psi') is
+    moved outward by doubling steps.  The first iterate is nu0 (clipped into
+    the bracket) or the right end, and it replaces the bracket end on its
+    side, so one further evaluation checks the other end.
+
+    Each following step is a Newton step when ``spec.psi_second`` exists,
+    the step lands inside the bracket and it at most halves the step before
+    last (the rtsafe safeguard); otherwise it bisects.  The Newton step
+    solves phi'(E psi') = phi'(1) rather than E psi' = 1: phi' inverts psi',
+    so that map is linear in nu while a single atom carries E psi', and for
+    kl it is linear always, which makes one step exact.  A row stops when |f|
+    is at round-off or its bracket ends are adjacent floats (a Newton step
+    shorter than one ulp is lengthened to close the bracket), and returns the
+    bracket end with the smaller |f|.  Raises NumericsError when either loop
+    runs out of iterations.
     """
+    tcol = t[:, None]
+
+    def residual(nu):
+        z = y - nu[:, None]
+        z /= tcol
+        return _expect(spec.psi_prime(z), probs) - 1.0, z
+
     row_min = y.min(axis=1)
     row_max = y.max(axis=1)
-
-    def expectation(nu):
-        vals = spec.psi_prime((y - nu[:, None]) / t[:, None])
-        return np.asarray(vals * probs).sum(axis=1)
-
-    slope_margin = max(float(spec.phi_prime(2.0)), 0.0) + 1.0
-    k = np.full(y.shape[0], slope_margin)
-    lo = row_min - k * t
-    for _ in range(80):
-        need = expectation(lo) < 1.0
-        if not need.any():
+    c = float(spec.phi_prime(1.0))
+    lo, hi = row_min - c * t, row_max - c * t
+    # the first iterate replaces the bracket end on its side, so only the
+    # other end needs a check of its own
+    x = hi if nu0 is None else np.clip(nu0, lo, hi)
+    f, z = residual(x)
+    above = f > 0.0
+    f_other = residual(np.where(above, hi, lo))[0]
+    lo, f_lo = np.where(above, x, lo), np.where(above, f, f_other)
+    hi, f_hi = np.where(above, hi, x), np.where(above, f_other, f)
+    # round-off of a sum of n terms near one: an end within it of zero is a
+    # root whatever its sign
+    f_tol = 4.0 * _EPS * math.sqrt(y.shape[1])
+    width = row_max - row_min + t
+    for _ in range(_WIDEN_ITERS):
+        bad_lo, bad_hi = f_lo < -f_tol, f_hi > f_tol
+        if not (bad_lo.any() or bad_hi.any()):
             break
-        k = np.where(need, 4.0 * k, k)
-        lo = row_min - k * t
+        # f is monotone, so at most one end per row fails, and the failed end
+        # is a valid end on the other side
+        if bad_lo.any():
+            hi, f_hi = np.where(bad_lo, lo, hi), np.where(bad_lo, f_lo, f_hi)
+            lo = np.where(bad_lo, lo - width, lo)
+            f_lo = np.where(bad_lo, residual(lo)[0], f_lo)
+        if bad_hi.any():
+            lo, f_lo = np.where(bad_hi, hi, lo), np.where(bad_hi, f_hi, f_lo)
+            hi = np.where(bad_hi, hi + width, hi)
+            f_hi = np.where(bad_hi, residual(hi)[0], f_hi)
+        width = 2.0 * width
     else:
-        raise NumericsError("inner bracket (left) expansion exhausted")
+        raise NumericsError("inner shift bracket widening exhausted")
 
-    hi = row_max.copy()
-    width = row_max - row_min + k * t
-    for _ in range(80):
-        need = expectation(hi) > 1.0
-        if not need.any():
+    # a bracket is closed when its ends are adjacent floats, or narrower
+    # than x_tol, which caps the bisection steps for a root near zero
+    scale = np.maximum(np.maximum(np.abs(lo), np.abs(hi)), np.maximum(np.abs(row_min), np.abs(row_max)))
+    x_tol = _EPS * scale / 1024.0
+
+    def closed(lo, hi):
+        return (hi <= np.nextafter(lo, np.inf)) | (hi - lo <= x_tol)
+
+    done = (np.abs(f_lo) <= f_tol) | (np.abs(f_hi) <= f_tol) | closed(lo, hi)
+    step = step_old = hi - lo
+    for _ in range(_INNER_MAX_ITERS):
+        if done.all():
             break
-        hi = np.where(need, hi + width, hi)
-        width = np.where(need, 2.0 * width, width)
-    else:
-        raise NumericsError("inner bracket (right) expansion exhausted")
+        nxt = 0.5 * (lo + hi)
+        if spec.psi_second is not None:
+            # Newton on phi'(E psi') = c, using phi''(F) = 1 / psi''(phi'(F))
+            w = np.asarray(spec.phi_prime(f + 1.0))
+            dw = np.asarray(spec.psi_second(w))
+            d = t * (w - c) * dw / _expect(spec.psi_second(z), probs)
+            # a step below resolution is lengthened so that the bracket closes
+            least = np.maximum(np.abs(np.spacing(x)), x_tol)
+            d = np.where(np.abs(d) < least, np.copysign(least, f), d)
+            newton = x + d
+            take = (dw > 0.0) & (newton >= lo) & (newton <= hi) & (2.0 * np.abs(d) <= step_old)
+            nxt = np.where(take, newton, nxt)
+        step_old, step = step, np.abs(nxt - x)
+        x = np.where(done, x, nxt)
+        f, z = residual(x)
+        above = (f > 0.0) & ~done
+        below = (f <= 0.0) & ~done
+        lo, f_lo = np.where(above, x, lo), np.where(above, f, f_lo)
+        hi, f_hi = np.where(below, x, hi), np.where(below, f, f_hi)
+        done |= (np.abs(f) <= f_tol) | closed(lo, hi)
+    if not done.all():
+        raise NumericsError("inner shift solve did not converge")
+    return np.where(np.abs(f_lo) <= np.abs(f_hi), lo, hi)
 
-    for _ in range(_INNER_ITERS):
-        mid = 0.5 * (lo + hi)
-        above = expectation(mid) > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
 
-
-def _objective_of_t(y, probs, spec, beta, t):
+def _objective_of_t(y, probs, spec, beta, t, nu0=None):
     """q(t) = t*beta + nu*(t) + t * E psi((y - nu*)/t) row-wise."""
-    nu = _solve_inner_nu(y, probs, spec, t)
+    nu = _solve_inner_nu(y, probs, spec, t, nu0)
     vals = np.asarray(spec.psi((y - nu[:, None]) / t[:, None]))
     return t * beta + nu + t * (vals * probs).sum(axis=1), nu
 
@@ -135,8 +208,12 @@ def _minimise_rows(y, probs, spec, beta):
     log_lo = np.full(m, math.log(_T_FLOOR))
     log_hi = np.full(m, max(math.log(2.0 / beta), math.log(_T_FLOOR) + 1.0))
 
+    nu_prev = None  # each probe's shifts warm-start the next probe
+
     def q_of_log_t(log_t):
-        return _objective_of_t(y, probs, spec, beta, np.exp(log_t))[0]
+        nonlocal nu_prev
+        q, nu_prev = _objective_of_t(y, probs, spec, beta, np.exp(log_t), nu_prev)
+        return q
 
     for _ in range(3):
         log_t_best, q_best = golden_min(q_of_log_t, log_lo, log_hi, iters=_GOLDEN_ITERS)
@@ -146,7 +223,7 @@ def _minimise_rows(y, probs, spec, beta):
         log_hi = np.where(at_right, log_hi + math.log(8.0), log_hi)
 
     t_best = np.exp(log_t_best)
-    _, nu_best = _objective_of_t(y, probs, spec, beta, t_best)
+    _, nu_best = _objective_of_t(y, probs, spec, beta, t_best, nu_prev)
     attained = t_best > _ATTAIN_CUTOFF
     value = np.where(attained, q_best, np.minimum(q_best, 1.0))
     return value, t_best, nu_best, attained
@@ -237,15 +314,21 @@ def solve_characterizing_equations(
         return None
     y = (x[None, :] - lo) / spread
 
+    nu_prev = None  # each probe's shift warm-starts the next probe
+
+    def shift_at(t):
+        nonlocal nu_prev
+        nu_prev = _solve_inner_nu(y, p, spec, t, nu_prev)
+        return nu_prev
+
     def divergence_at(t_scalar):
         t = np.array([t_scalar])
-        nu = _solve_inner_nu(y, p, spec, t)
+        nu = shift_at(t)
         z = np.asarray(spec.psi_prime((y - nu[:, None]) / t[:, None]))
         return float((np.asarray(spec.phi(z)) * p).sum())
 
     def finish(t_scalar):
-        t = np.array([t_scalar])
-        nu = _solve_inner_nu(y, p, spec, t)
+        nu = shift_at(np.array([t_scalar]))
         t_star = spread * t_scalar
         mu_star = (lo + spread * float(nu[0])) / t_star
         return t_star, mu_star

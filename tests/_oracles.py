@@ -148,3 +148,26 @@ def random_feasible_density(rng, dist, spec, beta):
         if float(np.dot(p, np.asarray(spec.phi(cand)))) <= beta:
             return cand
     return np.ones(dist.n)
+
+
+def inner_shift_oracle(y, probs, spec, t):
+    """Root of E psi'((y - nu)/t) = 1 in nu by scipy brentq.
+
+    The bracket grows outward from [min y - t, max y + t] until the signs
+    differ.  Returns (nu, |E psi'((y - nu)/t) - 1| at nu).
+    """
+    y = np.asarray(y, float)
+    probs = np.asarray(probs, float)
+
+    def f(nu):
+        return float(np.dot(probs, np.asarray(spec.psi_prime((y - nu) / t)))) - 1.0
+
+    lo, hi, width = y.min() - t, y.max() + t, t
+    while f(lo) < 0:
+        width *= 2.0
+        lo = y.min() - width
+    while f(hi) > 0:
+        width *= 2.0
+        hi = y.max() + width
+    nu = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
+    return nu, abs(f(nu))

@@ -21,6 +21,19 @@ def test_single_asset(kl):
     assert sol.converged
 
 
+def test_converged_is_backed_by_the_frank_wolfe_gap(kl):
+    # 50 scenarios x 4 comparably risky assets: a common factor plus t(5) noise
+    rng = np.random.default_rng(1)
+    factor = rng.standard_normal(50)
+    losses = rng.uniform(0.8, 1.25, 4) * (0.45 * factor[:, None] + rng.standard_t(5, (50, 4)))
+    panel = uniform_panel(losses)
+    sol = dr.minimize_portfolio_risk(panel, kl, 0.5, max_iters=2)
+    z = dr.solve_dual(panel.portfolio_dist(sol.weights), kl, 0.5).z
+    g = losses.T @ (panel.probs * z)
+    assert float(g @ sol.weights - g.min()) > 1e-5 * float(losses.max() - losses.min())
+    assert not sol.converged
+
+
 def test_identical_assets(kl):
     panel = uniform_panel([[1.0, 1.0], [2.0, 2.0], [0.5, 0.5]])
     sol = dr.minimize_portfolio_risk(panel, kl, 0.3)
