@@ -1,8 +1,10 @@
 """Primal evaluation against the dual search over the divergence ball.
 
 On a three-atom example the dual supremum sup{E XZ : E Z = 1, E phi(Z) <= beta}
-is solved three ways: by the characterizing equations, by the brute-force
-grid oracle, and (at boundary radii) by the extreme-density fallback.
+is compared with the primal value and the brute-force grid oracle.  The
+optimal density comes from the characterizing equations while they have a
+root; at boundary radii (beta >= B(0+)) it is the extreme density on the
+maximal atom, and the "source" column says which.
 """
 
 import numpy as np

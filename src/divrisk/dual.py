@@ -1,17 +1,18 @@
 """Dual representation of divergence risk on finite atom spaces.
 
-The risk equals sup{E X*Z : Z >= 0, E Z = 1, E phi(Z) <= beta}.  Whenever the
-characterizing equations are solvable the optimal density is the closed form
-Z* = psi'(X/t* - mu*).  Otherwise the supremum sits at the boundary where the
-extreme density concentrating all mass on the maximal atoms is feasible, and
-a projected-ascent pass polishes whatever candidate is best.  Z == 1 is
-always strictly feasible (phi(1) = 0 < beta), which both guarantees strong
-duality and provides the restoration direction for infeasible iterates.
+The risk equals sup{E X*Z : Z >= 0, E Z = 1, E phi(Z) <= beta}.  The
+characterizing-equation core of divrisk.risk returns the maximiser together
+with the value.  When the characterizing equations have a root (beta below
+B(0+), see ``is_attained``) it is the closed form Z* = psi'(X/t* - mu*), at
+the end of the search where E phi(Z*) <= beta.  Otherwise it is the extreme
+density 1{X = esssup} / P(X = esssup), which is feasible exactly in that
+regime and attains E X*Z = esssup X, the value of rho there.  Z == 1 is
+always strictly feasible (phi(1) = 0 < beta), which guarantees strong
+duality.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,9 @@ import numpy as np
 from .divergence import DivergenceSpec, discrete_divergence
 from .empirical import EmpiricalDistribution
 from .errors import DataError, NumericsError, OracleSizeError, StaleMultiplierError
-from .risk import _check_beta, solve_characterizing_equations
+
+# solve_characterizing_equations stays reachable as divrisk.dual.solve_characterizing_equations
+from .risk import _check_beta, evaluate_primal, solve_characterizing_equations  # noqa: F401
 
 __all__ = [
     "DualSolution",
@@ -28,8 +31,6 @@ __all__ = [
     "brute_force_dual",
     "divergence_ball_form",
 ]
-
-log = logging.getLogger("divrisk.dual")
 
 
 @dataclass(frozen=True)
@@ -44,30 +45,13 @@ class DualSolution:
 
 
 def _expectation(probs, values) -> float:
-    return float(np.dot(probs, values))
+    return float(np.einsum("i,i->", probs, np.asarray(values)))
 
 
 def _finalise(dist, spec, beta, z, source) -> DualSolution:
-    """Renormalise the mean and restore E phi(Z) <= beta, then package."""
+    """Renormalise the mean, then package the density with its slacks."""
     p = dist.probs
-    z = np.maximum(np.asarray(z, dtype=float), 0.0)
     z = z / _expectation(p, z)
-    div = _expectation(p, spec.phi(z))
-    if div > beta:
-        # pull towards the strictly feasible Z == 1 until inside the ball
-        gamma_lo, gamma_hi = 0.0, 1.0
-        for _ in range(100):
-            gamma = 0.5 * (gamma_lo + gamma_hi)
-            trial = (1.0 - gamma) * z + gamma
-            if _expectation(p, spec.phi(trial)) <= beta:
-                gamma_hi = gamma
-            else:
-                gamma_lo = gamma
-        z = (1.0 - gamma_hi) * z + gamma_hi
-        z = z / _expectation(p, z)
-        if _expectation(p, spec.phi(z)) > beta:
-            z = 0.999999999 * z + 1e-9  # nudge once more towards the Slater point
-            z = z / _expectation(p, z)
     return DualSolution(
         z=z,
         objective=_expectation(p, dist.atoms * z),
@@ -81,7 +65,9 @@ def optimal_density(dist, spec, beta, t_star: float, mu_star: float) -> DualSolu
     """Density Z* = psi'(X/t* - mu*) built from characterizing-equation roots.
 
     Validates the residuals of the supplied multipliers and the chain of
-    equalities tying E X*Z* to the primal objective at (t*, mu*).
+    equalities tying E X*Z* to the primal objective at (t*, mu*).  Only the
+    mean is renormalised, so ``divergence_slack`` carries the second
+    residual: it is negative by at most 1e-6 when beta < E phi(Z*).
     """
     beta = _check_beta(beta)
     if t_star is None or t_star <= 0:
@@ -104,141 +90,19 @@ def optimal_density(dist, spec, beta, t_star: float, mu_star: float) -> DualSolu
     return sol
 
 
-def _extreme_density(dist) -> np.ndarray:
-    """All mass proportional to p on the maximal atoms."""
-    top = dist.atoms == dist.esssup
-    z = np.zeros(dist.n)
-    z[top] = 1.0 / dist.probs[top].sum()
-    return z
-
-
-def _project_weighted_simplex(v, probs, cap):
-    """Euclidean projection onto {0 <= z <= cap, sum p_i z_i = 1}."""
-    lo, hi = -1.0, 1.0
-    def total(theta):
-        return _expectation(probs, np.clip(v - theta * probs, 0.0, cap))
-    for _ in range(200):
-        if total(lo) >= 1.0:
-            break
-        lo *= 2.0
-    for _ in range(200):
-        if total(hi) <= 1.0:
-            break
-        hi *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if total(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return np.clip(v - theta * probs, 0.0, cap)
-
-
-def _projected_ascent(dist, spec, beta, z0, max_iters=2000, stall=50):
-    """Maximise E X*Z over the feasible set from z0 by projected ascent.
-
-    Backtracking on the linear objective: accepted steps grow the rate,
-    rejected ones halve it; feasibility is restored by mixing towards Z == 1.
-    Stops when the best objective improves by < 1e-10 over ``stall``
-    consecutive iterations.
-    """
-    p = dist.probs
-    x = dist.atoms
-    cap = 2.0
-    p_min = float(p.min())
-    for _ in range(200):
-        if float(spec.phi(cap)) * p_min > beta:
-            break
-        cap *= 2.0
-
-    def restored(v):
-        z = _project_weighted_simplex(v, p, cap)
-        if _expectation(p, spec.phi(z)) <= beta:
-            return z
-        glo, ghi = 0.0, 1.0
-        for _ in range(80):
-            g = 0.5 * (glo + ghi)
-            if _expectation(p, spec.phi((1.0 - g) * z + g)) <= beta:
-                ghi = g
-            else:
-                glo = g
-        return (1.0 - ghi) * z + ghi
-
-    grad = p * x
-    scale = float(np.abs(grad).max()) or 1.0
-    step = 1.0 / scale
-    z = restored(np.asarray(z0, dtype=float))
-    best = z.copy()
-    best_obj = _expectation(p, x * z)
-    since_improve = 0
-    for _ in range(max_iters):
-        cand = restored(z + step * grad)
-        obj = _expectation(p, x * cand)
-        if obj > best_obj + 1e-10:
-            best, best_obj = cand.copy(), obj
-            z = cand
-            step *= 1.3
-            since_improve = 0
-        else:
-            step *= 0.5
-            since_improve += 1
-            if since_improve >= stall or step < 1e-18 / scale:
-                break
-    return best
-
-
 def solve_dual(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> DualSolution:
     """Maximise E X*Z over the divergence ball {E Z = 1, E phi(Z) <= beta, Z >= 0}.
 
-    First tries the characterizing-equation construction; if the system has
-    no root (the boundary regime where rho equals the essential supremum),
-    falls back to the extreme density on the maximal atoms, a scan over the
-    one-parameter family psi'((X - nu)/t), and a projected-ascent polish.
+    The maximiser is the density of evaluate_primal, with its mean
+    renormalised.  ``source`` is "characterizing-equations" when the
+    equations have a root and "extreme-density" when they have none (the
+    boundary regime, where the supremum is the essential supremum; constant X
+    included).
     """
     beta = _check_beta(beta)
-    roots = solve_characterizing_equations(dist, spec, beta)
-    if roots is not None:
-        try:
-            return optimal_density(dist, spec, beta, *roots)
-        except (StaleMultiplierError, NumericsError):  # fall through to ascent
-            log.debug("characterizing-equation density rejected; falling back")
-
-    p = dist.probs
-    x = dist.atoms
-    candidates = [np.ones(dist.n)]
-    z_ext = _extreme_density(dist)
-    if _expectation(p, spec.phi(z_ext)) <= beta + 1e-12:
-        candidates.append(z_ext)
-    candidates.extend(_density_family_scan(dist, spec, beta))
-    start = max(candidates, key=lambda z: _expectation(p, x * z))
-    z = _projected_ascent(dist, spec, beta, start)
-    if _expectation(p, x * start) > _expectation(p, x * z):
-        z = start
-    return _finalise(dist, spec, beta, z, source="projected-ascent")
-
-
-def _density_family_scan(dist, spec, beta, num=80):
-    """Feasible members of t -> psi'((X - nu(t))/t) on a log-t grid."""
-    from .risk import _solve_inner_nu  # local import to avoid a cycle at import time
-
-    lo = dist.essinf
-    spread = dist.esssup - lo
-    if spread <= 1e-15 * max(1.0, abs(lo)):
-        return []
-    y = (dist.atoms[None, :] - lo) / spread
-    out = []
-    nu = None
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for t in np.logspace(-9, np.log10(2.0 / beta + 1.0), num):
-            tv = np.array([t])
-            nu = _solve_inner_nu(y, dist.probs, spec, tv, nu)
-            z = np.asarray(spec.psi_prime((y - nu[:, None]) / tv[:, None]))[0]
-            if not np.all(np.isfinite(z)):
-                continue
-            if _expectation(dist.probs, spec.phi(z)) <= beta + 1e-12:
-                out.append(z)
-    return out
+    ev = evaluate_primal(dist, spec, beta)
+    source = "characterizing-equations" if ev.attained else "extreme-density"
+    return _finalise(dist, spec, beta, ev.density, source)
 
 
 def brute_force_dual(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> float:

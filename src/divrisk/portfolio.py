@@ -4,9 +4,10 @@ Minimising rho(X_w) in the weights w is jointly convex with the inner
 variables (t, mu), so a single minimisation over (w, mu, t) suffices.  The
 implementation alternates an exact inner solve (the risk evaluator) with
 projected subgradient steps in w, where the subgradient is supplied by the
-optimal dual density: d rho(X_w)/d w_i = E X_i Z*.  A batched line-search
-polish along coordinate-exchange segments finishes the run; risk along any
-simplex segment is convex, so nested grid refinement is reliable.
+optimal dual density that the evaluator returns with the risk, in either
+regime: d rho(X_w)/d w_i = E X_i Z*.  A batched line-search polish along
+coordinate-exchange segments finishes the run; risk along any simplex
+segment is convex, so nested grid refinement is reliable.
 """
 
 from __future__ import annotations
@@ -110,18 +111,8 @@ def minimize_portfolio_risk(
 
     def risk_and_density(weights):
         """Risk plus a dual-optimal density (the subgradient generator)."""
-        dist = panel.portfolio_dist(weights)
-        ev = evaluate_primal(dist, spec, beta)
-        if ev.attained and ev.residuals is not None and max(map(abs, ev.residuals)) < 1e-6:
-            z = np.asarray(spec.psi_prime(dist.atoms / ev.t_star - ev.mu_star), dtype=float)
-            z = z / float(np.dot(dist.probs, z))
-        else:
-            # boundary regime: the risk equals the essential supremum and the
-            # extreme density on the maximal atoms is dual-optimal
-            z = np.zeros(dist.n)
-            top = dist.atoms == dist.esssup
-            z[top] = 1.0 / dist.probs[top].sum()
-        return ev, z
+        ev = evaluate_primal(panel.portfolio_dist(weights), spec, beta)
+        return ev, ev.density
 
     best_ev, z = risk_and_density(w)
     best_w = w.copy()

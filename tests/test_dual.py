@@ -143,7 +143,7 @@ def test_divergence_ball_form(chi2):
 def test_dual_solution_source_tags(specs, kl):
     d = dr.from_samples([0.0, 1.0])
     assert dr.solve_dual(d, kl, 0.1).source == "characterizing-equations"
-    # far beyond the boundary the equations have no root and the fallback runs
+    # far beyond the boundary the equations have no root: the extreme density
     sol = dr.solve_dual(d, kl, 3.0)
-    assert sol.source == "projected-ascent"
+    assert sol.source == "extreme-density"
     assert sol.objective == pytest.approx(1.0, abs=1e-6)

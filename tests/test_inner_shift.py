@@ -67,7 +67,7 @@ def inner_problems(draw):
 def test_inner_shift_in_bracket_and_at_brentq_residual(inner_specs, problem):
     name, y, probs, t = problem
     spec = inner_specs[name]
-    nu = float(_solve_inner_nu(y[None, :], probs, spec, np.array([t]))[0])
+    nu = float(_solve_inner_nu(y[None, :], probs, spec, np.array([t]))[0][0])
 
     c = float(spec.phi_prime(1.0))
     # an end may move by round-off in the probabilities: t times a few ulps
@@ -87,8 +87,8 @@ def test_inner_shift_rows_match_single_rows(specs):
     probs = rng.dirichlet(np.ones(40))
     t = np.geomspace(1e-6, 1e2, 6)
     for spec in specs.values():
-        rows = _solve_inner_nu(y, probs, spec, t)
-        single = [_solve_inner_nu(y[i : i + 1], probs, spec, t[i : i + 1])[0] for i in range(6)]
+        rows = _solve_inner_nu(y, probs, spec, t)[0]
+        single = [_solve_inner_nu(y[i : i + 1], probs, spec, t[i : i + 1])[0][0] for i in range(6)]
         assert np.allclose(rows, single, rtol=0.0, atol=1e-12 * (1.0 + t))
 
 
@@ -98,9 +98,9 @@ def test_warm_start_reaches_the_same_root(specs):
     probs = rng.dirichlet(np.ones(500))
     t = np.array([0.05])
     for spec in specs.values():
-        cold = _solve_inner_nu(y, probs, spec, t)
+        cold = _solve_inner_nu(y, probs, spec, t)[0]
         for nu0 in (-1e3, 0.3, 1e3):
-            warm = _solve_inner_nu(y, probs, spec, t, np.array([nu0]))
+            warm = _solve_inner_nu(y, probs, spec, t, np.array([nu0]))[0]
             assert warm == pytest.approx(cold, abs=1e-12)
 
 
