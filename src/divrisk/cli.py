@@ -122,8 +122,9 @@ def _report_risk(config, spec, dist) -> dict:
 
 
 def _report_dual(config, spec, dist) -> dict:
-    sol = dual.solve_dual(dist, spec, config.beta)
+    # one run of the core gives both sides of the duality gap
     ev = risk.evaluate_primal(dist, spec, config.beta)
+    sol = dual._dual_of_evaluation(dist, spec, config.beta, ev)
     gap = abs(sol.objective - ev.value)
     tol = config.tol if config.tol is not None else 1e-5
     if gap > tol:

@@ -100,7 +100,11 @@ def solve_dual(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> DualS
     included).
     """
     beta = _check_beta(beta)
-    ev = evaluate_primal(dist, spec, beta)
+    return _dual_of_evaluation(dist, spec, beta, evaluate_primal(dist, spec, beta))
+
+
+def _dual_of_evaluation(dist, spec, beta, ev) -> DualSolution:
+    """The dual solution carried by ev = evaluate_primal(dist, spec, beta)."""
     source = "characterizing-equations" if ev.attained else "extreme-density"
     return _finalise(dist, spec, beta, ev.density, source)
 

@@ -11,8 +11,8 @@ certainty equivalent (Ben-Tal & Teboulle, Math. Finance 2007), and for kl
 the objective in t is the entropic value-at-risk (Ahmadi-Javid, JOTA 2012).
 The inner solve works on the exact bracket [min X - c*t, max X - c*t] with
 c = phi'(1), takes safeguarded Newton steps built from the spec's psi''
-(bisection steps for specs without one), and starts from the previous
-probe's shift.  The derivative of the outer objective is beta - B(t) with
+(bisection steps for specs without one), and starts from a prediction of
+the shift at the new t.  The derivative of the outer objective is beta - B(t) with
 B(t) = E phi(psi'((X - nu)/t)), so interior optima solve the
 characterizing system
 
@@ -24,19 +24,32 @@ whose solution also gives the optimal dual density Z* = psi'((X - nu)/t).
 B is non-increasing in t, from B(0+) = phi(0)*(1 - p) + p*phi(1/p), with
 p = P(X = esssup X), towards 0.  So the regime is decided exactly and
 first, at O(n) cost: with beta < B(0+) the system has a root, found by a
-safeguarded secant search on B(t) = beta in log t, and rho is the objective
-at the root; otherwise the infimum is only approached as t -> 0, rho is the
+safeguarded search on B(t) = beta in log t, and rho is the objective at the
+root; otherwise the infimum is only approached as t -> 0, rho is the
 essential supremum (attained=False), and the extreme density on the maximal
 atoms is dual-optimal.  One core, ``_characterize``, returns the value,
 (t*, mu*) and Z* together for every public entry point.  Inputs are
 affinely normalised to [-1, 0] before searching, so brackets are
 instance-independent: positive homogeneity and translation equivariance make
 this exact.
+
+With psi'', differentiating the system at fixed t gives both slopes from one
+pass of s = psi''(z), z = (X - nu)/t:
+
+    dnu/dt    = -E[s z] / E[s],
+    dB/dlog t = -(E[s z^2] - E[s z]^2 / E[s]).
+
+The outer search takes Newton steps on log(B/beta) in log t with the second,
+starts each inner solve from the tangent nu + (t' - t) dnu/dt of the first,
+and starts at the small-beta expansion B(t) ~ Var(X) psi''(phi'(1)) / (2 t^2)
+(the moment start); specs without psi'' take secant steps from
+t = 1/(1 + beta), each inner solve starting from the previous probe's shift.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -67,8 +80,14 @@ _EPS = np.finfo(float).eps
 class RiskEvaluation:
     """Value of rho(X) with optimizers and first-order diagnostics.
 
-    ``residuals`` holds the gaps of the characterizing equations at
-    (t_star, mu_star); both are absent when the infimum is not attained.
+    ``residuals`` holds the gaps 1 - E Z* and beta - E phi(Z*) of the
+    characterizing equations at the root the solver found, with
+    Z* = ``density``; both are absent when the infimum is not attained.  They
+    are the solver's own, evaluated on the normalised atoms: recomputing
+    them from (t_star, mu_star) in the units of X loses digits where
+    X/t_star - mu_star cancels.  The second is absolute, so it scales with
+    beta; the search keeps E phi(Z*) below beta by a margin near
+    5e-13*beta by design.
     """
 
     value: float
@@ -77,6 +96,21 @@ class RiskEvaluation:
     attained: bool
     residuals: Optional[Tuple[float, float]]
     density: np.ndarray = field(compare=False, repr=False)
+
+
+def _debug_logger():
+    """The "divrisk.risk" logger when it emits debug records, else None.
+
+    logging is looked up rather than imported: importing it adds ~0.5 MB and
+    ~7 ms to ``import divrisk``, and a program that has not imported it has
+    configured no logger to show debug records (DIVRISK_LOG=debug configures
+    one in the CLI).
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger(__name__)
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 def _check_beta(beta) -> float:
@@ -267,7 +301,7 @@ def _extreme_divergence(spec, p_top, p_rest):
 
 
 def _regime(x, probs, spec, beta):
-    """Row-wise regime of the loss rows x (m, n): (const, top, attained).
+    """Row-wise regime of the loss rows x (m, n): (const, top, attained, B(0+)).
 
     ``top`` marks the atoms at each row's maximum.  B(t) decreases from
     B(0+) towards 0, so the characterizing equations have a root exactly
@@ -278,37 +312,83 @@ def _regime(x, probs, spec, beta):
     const = hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo))
     top = x == hi[:, None]
     level = _extreme_divergence(spec, _expect(top, probs), _expect(~top, probs))
-    return const, top, ~const & (beta < level)
+    return const, top, ~const & (beta < level), level
 
 
-def _root_in_log_t(y, probs, spec, beta, attained):
+def _newton_step(s, h, b, slope, target, level, t_kink):
+    """Newton step in s = log t towards B = target, row-wise; NaN where none.
+
+    h = log(B/target) and slope = dlog(B)/ds at s; level = B(0+).  Far from
+    B(0+) the step is Newton's on h, which is near linear in s where B falls
+    like t^-2.  Where B >= B(0+)/2, on the flat side near t = 0, it is Newton's
+    on log(B(0+) - B), in the variable where that is near linear: in 1/t when
+    psi' > 0 everywhere (kl: B(0+) - B falls like exp(-gap/t)), and in
+    log(t - t_kink) when psi' vanishes below phi'(0) (chi2, power:p: B is
+    B(0+) up to t_kink, where the second-largest atom enters, and departs
+    from it like a power of t - t_kink).
+    """
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        f = np.log((level - b) / (level - target))
+        if t_kink is None:
+            flat = -np.log1p(-f * (level - b) / (slope * b))
+        else:
+            t = np.exp(s)
+            x = t - t_kink
+            flat = np.log(t_kink + x * np.exp(f * (level - b) * t / (slope * b * x))) - s
+            flat = np.where(x > 0.0, flat, np.nan)
+        step = np.where((b >= 0.5 * level) & np.isfinite(flat), flat, -h / slope)
+    return np.where((slope < 0.0) & np.isfinite(step), step, np.nan)
+
+
+def _root_in_log_t(y, probs, spec, beta, attained, level):
     """Solve B(t) = E phi(psi'((y - nu(t))/t)) = beta in s = log t, row-wise.
 
-    y: (m, n) rows normalised to [-1, 0]; attained: (m,) regime of each row.
-    B is non-increasing in t.  On a row with a root the search aims below
-    beta, at beta*(1 - _B_RTOL/2), and accepts a probe within _B_RTOL*beta/4
-    of that target: beta - B >= _B_RTOL*beta/4 is then a margin over
-    round-off that keeps the density feasible.  On a row without one it aims
-    at beta itself, which at beta = B(0+) accepts the flat end of B.
+    y: (m, n) rows normalised to [-1, 0]; attained: (m,) regime of each row;
+    level: (m,) B(0+).  B is non-increasing in t.  On a row with a root the
+    search aims below beta, at beta*(1 - _B_RTOL/2), and accepts a probe
+    within _B_RTOL*beta/4 of that target: beta - B >= _B_RTOL*beta/4 is then
+    a margin over round-off that keeps the density feasible.  On a row
+    without one it aims at beta itself, which at beta = B(0+) accepts the
+    flat end of B.
+
+    With psi'' (``spec.psi_second``), differentiating 1 = E psi'(z) and
+    B = E phi(psi'(z)), z = (y - nu)/t, gives both slopes from one pass of
+    s = psi''(z) at the probe (phi'(psi'(z)) = z where s > 0):
+
+        dnu/dt    = -E[s z] / E[s],
+        dB/dlog t = -(E[s z^2] - E[s z]^2 / E[s])  <= 0,
+
+    evaluated with z - phi'(1) in place of z, which leaves both unchanged and
+    keeps the last difference from cancelling at large t.  The search starts
+    at the small-beta expansion B(t) ~ Var(y) psi''(c) / (2 t^2), c = phi'(1):
+    t0 = sqrt(Var(y) psi''(c) / (2 beta)), exact for chi2 while Z* >= 0, or
+    at 1/(1 + beta) if that is smaller (large beta, where B(0+) is large
+    because the maximum carries little mass).  Steps on rows with a root are
+    Newton steps (:func:`_newton_step`), and each inner solve starts from the
+    tangent prediction nu + (t' - t) dnu/dt of the probe before.  Where psi'
+    vanishes below phi'(0), B = B(0+) up to t_kink, the t at which the
+    second-largest atom enters, and log t_kink is a lower end of the bracket
+    from the start.  Without psi'' the search starts at t = 1/(1 + beta),
+    steps by secants on log(B/target) through the last two probes, and each
+    inner solve starts from the previous probe's shift.
 
     The bracket [s_lo, s_hi] keeps B above the target at s_lo and at most
-    the target at s_hi.  The search starts at t = 1/(1 + beta) and steps
-    outward by doubling steps in s until both ends exist; the lower end stops
-    at _T_FLOOR, where rows without a root above the floor stop too.  Then
-    come secant steps on log(B/target), which is near linear in s where B
-    spans orders of magnitude, through the last two probes.  A secant step
-    is taken when it lands inside the bracket and at most halves the move
-    before last (the rtsafe safeguard); otherwise, or when neither the
-    bracket nor |log(B/target)| has halved within 3 steps, the bracket is
-    bisected.  The secant runs through the last two probes rather than the
-    bracket ends (regula falsi, Illinois): B of a spec whose psi' vanishes
-    below a point is flat near t = 0 and then drops steeply, and a secant
-    through two probes on the drop finds the root where one through the
-    bracket ends creeps.  A row stops at an accepted probe, which becomes
-    s_hi, or when the bracket is a few ulps wide.  Each probe's shifts
-    warm-start the next probe.
+    the target at s_hi.  Until both ends exist the search steps outward by a
+    reach that doubles per step; with psi'' upward (on the flat side near
+    t = 0, where Newton steps overshoot) by the Newton step if that is
+    shorter, and downward by the Newton step while |log(B/target)| halves
+    per step, else by the longer of the two (Newton steps creep where B
+    flattens towards B(0+)).  The lower end stops at _T_FLOOR, where rows
+    without a root above the floor stop too.  Inside the bracket a Newton
+    step, or the secant where no Newton step is defined, is taken when it
+    lands inside the bracket and at most halves the move before last (the
+    rtsafe safeguard); otherwise, or when neither the bracket nor
+    |log(B/target)| has halved within 3 steps, the bracket is bisected.
+    A row stops at an accepted probe, which becomes s_hi, or when the bracket
+    is a few ulps wide.
 
-    Returns (t, nu) at s_hi, where B < beta on rows with a root.
+    Returns (t, nu) at s_hi, where B < beta on rows with a root, and the
+    number of probes made.
     """
     m = y.shape[0]
     s_floor = math.log(_T_FLOOR)
@@ -316,21 +396,55 @@ def _root_in_log_t(y, probs, spec, beta, attained):
     g_tol = 0.25 * _B_RTOL * beta
     s = np.full(m, -math.log1p(beta))
     s_lo, s_hi, nu_hi = np.full(m, -np.inf), np.full(m, np.inf), np.zeros(m)
+    newton, t_kink, mean = spec.psi_second is not None, None, None
+    if newton:
+        c = float(spec.phi_prime(1.0))
+        mean = _expect(y, probs)
+        dev = y - mean[:, None]
+        var = _expect(np.square(dev, out=dev), probs)
+        del dev
+        with np.errstate(divide="ignore"):
+            s = np.minimum(s, np.maximum(0.5 * np.log(var * float(spec.psi_second(c)) / (2.0 * beta)), s_floor))
+        edge = float(spec.phi_prime(0.0))
+        if math.isfinite(edge):
+            # psi' vanishes below phi'(0): up to t_kink the maximal atoms alone
+            # carry E psi' = 1, so there B = B(0+) > target
+            top = y == 0.0
+            gap = -np.where(top, -np.inf, y).max(axis=1)
+            t_kink = gap / (np.asarray(spec.phi_prime(1.0 / _expect(top, probs))) - edge)
+            with np.errstate(divide="ignore"):
+                s_kink = np.log(t_kink)
+            s_lo = np.where(attained & (s_kink > s_floor), s_kink, -np.inf)
     s_prev, h_prev = np.full(m, np.nan), np.full(m, np.nan)
+    slope, dnu = np.full(m, np.nan), np.zeros(m)  # dlog(B)/ds and dnu/dt at s_prev
     reach = np.ones(m)
     moves = np.full((2, m), np.inf)  # the last two moves in s
     width_ref, h_ref, since = np.full(m, np.inf), np.full(m, np.inf), np.zeros(m)
     nu = None
     done = np.zeros(m, dtype=bool)
-    for _ in range(_OUTER_MAX_ITERS):
+    for probes in range(1, _OUTER_MAX_ITERS + 1):
         act = ~done
         idx = np.flatnonzero(act)
         rows = y if idx.size == m else y[idx]
-        nu_act, _, w = _solve_inner_nu(rows, probs, spec, np.exp(s[idx]), None if nu is None else nu[idx])
+        t = np.exp(s[idx])
         if nu is None:  # the first probe covers every row
-            nu = nu_act
+            # with psi'', from the large-t expansion z ~ c + (y - E y)/t
+            nu, z, w = _solve_inner_nu(rows, probs, spec, t, None if mean is None else mean - c * t)
         else:
-            nu[idx] = nu_act
+            # the tangent prediction; without psi'' dnu is 0
+            with np.errstate(invalid="ignore"):
+                nu0 = nu[idx] + (t - np.exp(s_prev[idx])) * dnu[idx]
+            nu[idx], z, w = _solve_inner_nu(rows, probs, spec, t, np.where(np.isfinite(nu0), nu0, nu[idx]))
+        if newton:  # E[s], E[s (z - c)] and E[s (z - c)^2], s = psi''(z)
+            sec = np.asarray(spec.psi_second(z))
+            z -= c
+            a0 = _expect(sec, probs)
+            sec *= z
+            a1 = _expect(sec, probs)
+            sec *= z
+            a2 = _expect(sec, probs)
+            del sec
+        del z  # before phi(w): the peak memory stays lower
         # B of the density with its mean renormalised, as solve_dual returns
         # it, so that the margin also covers the inner solve's residual
         w /= _expect(w, probs)[:, None]
@@ -339,6 +453,10 @@ def _root_in_log_t(y, probs, spec, beta, attained):
         del w
         if not np.all(np.isfinite(b)):
             raise NumericsError("divergence expectation B(t) is not finite")
+        if newton:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                dnu[idx] = -(c + a1 / a0)
+                slope[idx] = -(a2 - a1 * a1 / a0) / b[idx]
         g = b - target
         with np.errstate(divide="ignore"):
             h = np.log(b / target)
@@ -346,7 +464,7 @@ def _root_in_log_t(y, probs, spec, beta, attained):
         hit = act & (np.abs(g) <= g_tol)
         above = act & (g > 0.0) & ~hit
         below = act & ((g <= 0.0) | hit)
-        s_lo = np.where(above, s, s_lo)
+        s_lo = np.where(above, np.maximum(s, s_lo), s_lo)
         s_hi, nu_hi = np.where(below, s, s_hi), np.where(below, nu, nu_hi)
         has_lo, has_hi = np.isfinite(s_lo), np.isfinite(s_hi)
         width = s_hi - s_lo
@@ -355,26 +473,35 @@ def _root_in_log_t(y, probs, spec, beta, attained):
         if done.all():
             break
 
-        expand = np.where(has_hi, np.maximum(s_hi - reach, s_floor), s_lo + reach)
-        reach = np.where(has_lo & has_hi, reach, 2.0 * reach)
         # progress: the bracket or |log(B/target)| halved
         halved = (width <= 0.5 * width_ref) | (np.abs(h) <= 0.5 * h_ref)
         width_ref = np.where(halved, width, width_ref)
         h_ref = np.where(halved & act, np.abs(h), h_ref)
         since = np.where(halved, 0.0, since + 1.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            secant = s - h * (s - s_prev) / (h - h_prev)
-        # as in rtsafe, a secant step must also at most halve the move
-        # before last, which stops it from creeping along a flat stretch
-        take = (secant > s_lo) & (secant < s_hi) & (2.0 * np.abs(secant - s) <= moves[0])
-        inner = np.where(take & (since < 3.0), secant, 0.5 * (s_lo + s_hi))
+            secant = -h * (s - s_prev) / (h - h_prev)
+        if newton:
+            step = np.where(attained, _newton_step(s, h, b, slope, target, level, t_kink), np.nan)
+            progress = np.isnan(h_prev) | (np.abs(h) <= 0.5 * np.abs(h_prev))
+            up = s_lo + np.fmin(step, reach)
+            down = np.where(progress & np.isfinite(step), s + step, s_hi - np.fmax(-step, reach))
+            expand = np.maximum(np.where(has_hi, down, up), s_floor)
+            cand = s + np.where(np.isnan(step), secant, step)
+        else:
+            expand = np.where(has_hi, np.maximum(s_hi - reach, s_floor), s_lo + reach)
+            cand = s + secant
+        reach = np.where(has_lo & has_hi, reach, 2.0 * reach)
+        # as in rtsafe, a step must also at most halve the move before last,
+        # which stops it from creeping along a flat stretch
+        take = (cand > s_lo) & (cand < s_hi) & (2.0 * np.abs(cand - s) <= moves[0])
+        inner = np.where(take & (since < 3.0), cand, 0.5 * (s_lo + s_hi))
         nxt = np.where(has_lo & has_hi, inner, expand)
         moves = np.where(act, np.stack((moves[1], np.abs(nxt - s))), moves)
         s_prev, h_prev = np.where(act, s, s_prev), np.where(act, h, h_prev)
         s = np.where(done, s, nxt)
     else:
         raise NumericsError("outer search for B(t) = beta did not converge")
-    return np.exp(s_hi), nu_hi
+    return np.exp(s_hi), nu_hi, probes
 
 
 class _Solution(NamedTuple):
@@ -405,16 +532,17 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     atoms.  Constant rows have rho = X and Z* = 1.
     """
     m = x.shape[0]
-    const, top, attained = _regime(x, probs, spec, beta)
+    const, top, attained, level = _regime(x, probs, spec, beta)
     lo, hi = x.min(axis=1), x.max(axis=1)
     spread = hi - lo
     value = np.where(const, lo, hi)
     t, mu, residuals = np.full(m, np.nan), np.full(m, np.nan), np.full((m, 2), np.nan)
     idx = np.flatnonzero(~const)
+    probes = 0
     if idx.size:
         y = (x[idx] - hi[idx, None]) / spread[idx, None]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            t_n, nu_n = _root_in_log_t(y, probs, spec, beta, attained[idx])
+            t_n, nu_n, probes = _root_in_log_t(y, probs, spec, beta, attained[idx], level[idx])
             # Z* is evaluated once, at the end the search returned
             nu_n, z, w = _solve_inner_nu(y, probs, spec, t_n, nu_n)
             q = t_n * beta + nu_n + t_n * _expect(spec.psi(z), probs)
@@ -432,6 +560,10 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     density[const] = 1.0
     if attained.any():
         density[attained] = w[root]
+    log = _debug_logger()
+    if log is not None:
+        log.debug("characterize %s: %d rows, %d with a root, %d outer probes",
+                  spec.name, m, int(attained.sum()), probes)
     return _Solution(value, t, mu, density, attained, residuals)
 
 
@@ -463,17 +595,8 @@ def evaluate_primal(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> 
     value, density = float(sol.value[0]), sol.density[0]
     if not sol.attained[0]:
         return RiskEvaluation(value, None, None, False, None, density)
-    t_star, mu_star = float(sol.t[0]), float(sol.mu[0])
-    residuals = _equation_residuals(dist, spec, beta, t_star, mu_star)
-    return RiskEvaluation(value, t_star, mu_star, True, residuals, density)
-
-
-def _equation_residuals(dist, spec, beta, t, mu):
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        z = np.asarray(spec.psi_prime(dist.atoms / t - mu))
-        r1 = 1.0 - float(np.einsum("i,i->", dist.probs, z))
-        r2 = beta - float(np.einsum("i,i->", dist.probs, np.asarray(spec.phi(z))))
-    return r1, r2
+    r1, r2 = sol.residuals[0]
+    return RiskEvaluation(value, float(sol.t[0]), float(sol.mu[0]), True, (float(r1), float(r2)), density)
 
 
 def solve_characterizing_equations(

@@ -12,6 +12,7 @@ of its largest atom, so comparisons in those units allow n ulps of max|X|
 on top of the relative tolerance.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -54,8 +55,11 @@ def risk_problems(draw, names=SPEC_NAMES):
 
 
 def _beta(spec, dist, rel):
-    level = boundary_level(spec, dist)
-    return level * (1.0 + rel) if level > 0.0 else 0.5  # constant X: B(0+) = phi(1) = 0
+    # constant X: B(0+) = phi(1) = 0, though the sum of its probabilities may
+    # round away from 1 and leave boundary_level at ~1e-16
+    if dist.esssup == dist.essinf:
+        return 0.5
+    return boundary_level(spec, dist) * (1.0 + rel)
 
 
 def _tol(dist, rel_tol):
@@ -123,6 +127,63 @@ def test_kl_value_matches_the_evar_oracle(specs, problem):
     assert abs((value - dist.esssup) / spread - oracle) <= 1e-7
 
 
+def _on_same_atoms(dist, values):
+    return dr.EmpiricalDistribution(atoms=values, probs=dist.probs)
+
+
+def _value_tol(dist, beta):
+    """_tol at 1e-12, plus the conditioning of rho at small beta.
+
+    The optimal t grows like spread/sqrt(beta), and for kl the value sums
+    terms of that size (nu ~ -t and t E psi' = t), so its rounding error is
+    n ulps of spread/sqrt(beta).
+    """
+    return _tol(dist, 1e-12) + dist.n * EPS * (dist.esssup - dist.essinf) / math.sqrt(min(beta, 1.0))
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(risk_problems(), st.sampled_from([1.0, 0.5, 3.0, 1024.0]), st.sampled_from([0.0, 1.0, -2.5]))
+def test_translation_equivariant_and_positively_homogeneous(specs, problem, a, shift):
+    name, dist, rel = problem
+    spec = specs[name]
+    beta = _beta(spec, dist, rel)
+    # b in units of the spread, so that it neither vanishes nor swamps the atoms
+    b = shift * max(dist.esssup - dist.essinf, abs(dist.esssup))
+    moved = _on_same_atoms(dist, a * dist.atoms + b)
+    value = dr.evaluate_primal(dist, spec, beta).value
+    want = a * value + b
+    assert abs(dr.evaluate_primal(moved, spec, beta).value - want) <= _value_tol(moved, beta) + a * _value_tol(dist, beta)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(risk_problems(), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+def test_monotone(specs, problem, seed, zero_frac):
+    name, dist, rel = problem
+    spec = specs[name]
+    beta = _beta(spec, dist, rel)
+    rng = np.random.default_rng(seed)
+    bump = rng.uniform(0.0, 1.0, dist.n) * max(dist.esssup - dist.essinf, abs(dist.esssup), 1e-300)
+    bump[rng.random(dist.n) < zero_frac] = 0.0
+    above = _on_same_atoms(dist, dist.atoms + bump)
+    assert np.all(above.atoms >= dist.atoms)
+    value = dr.evaluate_primal(dist, spec, beta).value
+    assert value <= dr.evaluate_primal(above, spec, beta).value + _value_tol(dist, beta) + _value_tol(above, beta)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(risk_problems(), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_subadditive(specs, problem, seed, ratio):
+    name, dist, rel = problem
+    spec = specs[name]
+    beta = _beta(spec, dist, rel)
+    rng = np.random.default_rng(seed)
+    other = _on_same_atoms(dist, rng.standard_t(4, dist.n) * ratio * max(abs(dist.esssup), 1e-300))
+    both = _on_same_atoms(dist, dist.atoms + other.atoms)
+    values = [dr.evaluate_primal(d, spec, beta).value for d in (dist, other, both)]
+    tol = _value_tol(dist, beta) + _value_tol(other, beta) + _value_tol(both, beta)
+    assert values[2] <= values[0] + values[1] + tol
+
+
 def test_kl_just_beyond_the_boundary_is_not_attained(kl):
     # B(0+) = log 2 on [0, 1]; just above it the equations have no root
     d = dr.from_samples([0.0, 1.0])
@@ -144,3 +205,28 @@ def test_chi2_two_atoms_with_a_tiny_top_probability(chi2):
     assert ev.value == pytest.approx(want, abs=1e-15)
     # the density keeps beta - E phi(Z) ~ 1e-12 beta in reserve: gap t*(beta - E phi(Z))
     assert dr.solve_dual(d, chi2, beta).objective == pytest.approx(want, abs=1e-12)
+
+
+def test_power3_residuals_with_a_tiny_top_probability(specs):
+    # the core's residuals, on the normalised atoms: recomputed from (t*, mu*)
+    # in the units of X, x/t* - mu* cancels and 1 - E Z* read -0.46
+    spec = specs["power:3"]
+    p1 = 4.7e-13
+    d = dr.EmpiricalDistribution(atoms=np.array([0.0, 1.0]), probs=np.array([1.0 - p1, p1]))
+    beta = boundary_level(spec, d) / 10.0
+    ev = dr.evaluate_primal(d, spec, beta)
+    assert ev.attained
+    r1, r2 = ev.residuals
+    assert abs(r1) <= 1e-12
+    assert abs(r2) <= 1e-12 * beta
+
+
+def test_debug_log_line_per_core_run(caplog, kl):
+    d = dr.from_samples([0.0, 1.0, 3.0])
+    with caplog.at_level(logging.DEBUG, logger="divrisk.risk"):
+        dr.evaluate_primal(d, kl, 0.5)
+        dr.evaluate_primal(dr.from_samples([2.0, 2.0]), kl, 0.5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "divrisk.risk"]
+    assert len(lines) == 2
+    assert "1 rows, 1 with a root" in lines[0] and "outer probes" in lines[0]
+    assert "1 rows, 0 with a root, 0 outer probes" in lines[1]

@@ -72,6 +72,32 @@ def test_risk_dual_agreement(capsys, tmp_path):
     assert abs(json.loads(out_r)["value"] - json.loads(out_d)["objective"]) <= 1e-5
 
 
+def test_dual_runs_the_core_once(capsys, tmp_path, monkeypatch):
+    from divrisk import risk
+
+    schema = json.loads(resources.files("divrisk").joinpath("report_schema.json").read_text())
+    f = tmp_path / "s.csv"
+    rng = np.random.default_rng(72)
+    f.write_text("\n".join(str(v) for v in rng.normal(0, 1, 40)))
+    spec, dist = dr.make_builtin_divergence("kl"), dr.from_csv(str(f))
+    gap = abs(dr.solve_dual(dist, spec, 0.4).objective - dr.evaluate_primal(dist, spec, 0.4).value)
+    core, calls = risk._characterize, []
+
+    def counted(*args):
+        calls.append(args)
+        return core(*args)
+
+    monkeypatch.setattr(risk, "_characterize", counted)
+    status, out, err = run_cli(
+        capsys, "--command", "dual", "--divergence", "kl", "--beta", "0.4", "--input", str(f)
+    )
+    assert status == 0, err
+    assert len(calls) == 1
+    rep = json.loads(out)
+    assert list(rep.keys()) == schema["dual"]
+    assert rep["duality_gap"] == gap
+
+
 def test_json_round_trip_is_stable(capsys, tmp_path):
     f = tmp_path / "s.csv"
     f.write_text("0.1\n-2.7\n1.30000000000004\n")
