@@ -111,13 +111,33 @@ class YoungPair:
 
 # ---------------------------------------------------------------------------
 # builtins
+#
+# phi, psi, psi' and psi'' take float arrays (``_wrap`` converts their input)
+# and write into one output array with ``out=`` ufuncs, then fix up the
+# special cases through boolean masks.  Each makes the operations of the
+# plain numpy expression in its comment, in the same order, so its values
+# are bit-identical to that expression's; it only skips the temporaries, each
+# an n-sized allocation with its page faults.  The evaluator makes tens of
+# such passes over the atoms per risk value.
+
+
+_BLOCK = 8192  # elements per block, where a kernel needs two operands at once
+
+
+def _ramp(y, slope):
+    """np.maximum(0.0, 1.0 + slope * y) in a new array."""
+    out = np.multiply(y, slope, out=np.empty_like(y))
+    out += 1.0
+    return np.maximum(out, 0.0, out=out)
 
 
 def _kl_spec() -> DivergenceSpec:
     def phi(x):
-        pos = x > 0
-        safe = np.where(pos, x, 1.0)
-        out = np.where(pos, safe * np.log(safe), np.where(x == 0, 0.0, np.inf))
+        # np.where(x > 0, x * np.log(x), np.where(x == 0, 0.0, np.inf))
+        out = np.log(x, out=np.empty_like(x))
+        out *= x
+        out[x == 0] = 0.0
+        out[~(x >= 0)] = np.inf
         return out
 
     def phi_prime(x):
@@ -126,7 +146,9 @@ def _kl_spec() -> DivergenceSpec:
         return np.where(pos, np.log(safe) + 1.0, -np.inf)
 
     def psi(y):
-        return np.exp(y - 1.0)
+        # np.exp(y - 1.0)
+        out = np.subtract(y, 1.0, out=np.empty_like(y))
+        return np.exp(out, out=out)
 
     return DivergenceSpec(
         name="kl",
@@ -144,19 +166,32 @@ def _kl_spec() -> DivergenceSpec:
 
 def _chi2_spec() -> DivergenceSpec:
     def phi(x):
-        return np.where(x >= 0, (x - 1.0) ** 2, np.inf)
+        # np.where(x >= 0, (x - 1.0) ** 2, np.inf)
+        out = np.subtract(x, 1.0, out=np.empty_like(x))
+        np.square(out, out=out)
+        out[~(x >= 0)] = np.inf
+        return out
 
     def phi_prime(x):
         return 2.0 * (x - 1.0)
 
     def psi(y):
-        return np.where(y >= -2.0, y + 0.25 * y * y, -1.0)
+        # np.where(y >= -2.0, y + 0.25 * y * y, -1.0)
+        out = np.multiply(y, 0.25, out=np.empty_like(y))
+        out *= y
+        out += y
+        out[~(y >= -2.0)] = -1.0
+        return out
 
     def psi_prime(y):
-        return np.maximum(0.0, 1.0 + 0.5 * y)
+        # np.maximum(0.0, 1.0 + 0.5 * y)
+        return _ramp(y, 0.5)
 
     def psi_second(y):
-        return np.where(y > -2.0, 0.5, 0.0)
+        # np.where(y > -2.0, 0.5, 0.0)
+        out = np.greater(y, -2.0, out=np.empty_like(y))
+        out *= 0.5
+        return out
 
     return DivergenceSpec(
         name="chi2",
@@ -181,26 +216,49 @@ def _power_spec(p: float) -> DivergenceSpec:
     denom = p * (p - 1.0)
 
     def phi(x):
-        xp = np.where(x >= 0, x, 0.0)
-        val = (np.power(xp, p) - p * xp + p - 1.0) / denom
-        return np.where(x >= 0, val, np.inf)
+        # xp = np.where(x >= 0, x, 0.0)
+        # np.where(x >= 0, (np.power(xp, p) - p * xp + p - 1.0) / denom, np.inf)
+        out = np.maximum(x, 0.0, out=np.empty(x.shape))  # xp, except NaN at NaN
+        flat = out.reshape(-1)
+        # np.power(xp, p) - p * xp needs both operands at once: block by block,
+        # the second takes a block rather than a full-size array
+        for i in range(0, flat.size, _BLOCK):
+            blk = flat[i : i + _BLOCK]
+            scaled = blk * p
+            np.power(blk, p, out=blk)
+            blk -= scaled
+        out += p
+        out -= 1.0
+        out /= denom
+        out[~(x >= 0)] = np.inf
+        return out
 
     def phi_prime(x):
         xp = np.maximum(x, 0.0)
         return (np.power(xp, p - 1.0) - 1.0) / (p - 1.0)
 
+    # u = np.maximum(0.0, 1.0 + (p - 1.0) * y) in psi, psi' and psi''
     def psi(y):
-        u = np.maximum(0.0, 1.0 + (p - 1.0) * y)
-        return (np.power(u, q) - 1.0) / p
+        # (np.power(u, q) - 1.0) / p
+        out = _ramp(y, p - 1.0)
+        np.power(out, q, out=out)
+        out -= 1.0
+        out /= p
+        return out
 
     def psi_prime(y):
-        u = np.maximum(0.0, 1.0 + (p - 1.0) * y)
-        return np.power(u, 1.0 / (p - 1.0))
+        # np.power(u, 1.0 / (p - 1.0))
+        out = _ramp(y, p - 1.0)
+        return np.power(out, 1.0 / (p - 1.0), out=out)
 
     def psi_second(y):
-        u = np.maximum(0.0, 1.0 + (p - 1.0) * y)
-        # u**(negative) is inf at u = 0 for p > 2; psi' vanishes there
-        return np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0) - 1.0), 0.0)
+        # np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0) - 1.0), 0.0): u**(negative)
+        # is inf at u = 0 for p > 2, where psi' vanishes
+        out = _ramp(y, p - 1.0)
+        zero = ~(out > 0.0)
+        np.power(out, 1.0 / (p - 1.0) - 1.0, out=out)
+        out[zero] = 0.0
+        return out
 
     phi_w = _wrap(phi)
     # phi(2x)/phi(x) decreases on [2, inf) (towards 2**p), so its supremum

@@ -9,10 +9,13 @@ nu = t * mu.  For fixed t the inner first-order condition
 E psi'((X - nu)/t) = 1 pins nu; nu is the shift variable of the optimized
 certainty equivalent (Ben-Tal & Teboulle, Math. Finance 2007), and for kl
 the objective in t is the entropic value-at-risk (Ahmadi-Javid, JOTA 2012).
-The inner solve works on the exact bracket [min X - c*t, max X - c*t] with
-c = phi'(1), takes safeguarded Newton steps built from the spec's psi''
-(bisection steps for specs without one), and starts from a prediction of
-the shift at the new t.  The derivative of the outer objective is beta - B(t) with
+For kl the shift is closed form, nu = t log E e^{X/t} - t, and one pass of
+psi' solves the inner condition.  For other specs the inner solve works on
+the exact bracket [min X - c*t, max X - c*t] with c = phi'(1), takes
+safeguarded Newton steps built from the spec's psi'' (bisection steps for
+specs without one), checks the far end of the bracket only when a step
+needs it, and starts from a prediction of the shift at the new t.  The
+derivative of the outer objective is beta - B(t) with
 B(t) = E phi(psi'((X - nu)/t)), so interior optima solve the
 characterizing system
 
@@ -39,11 +42,15 @@ pass of s = psi''(z), z = (X - nu)/t:
     dnu/dt    = -E[s z] / E[s],
     dB/dlog t = -(E[s z^2] - E[s z]^2 / E[s]).
 
-The outer search takes Newton steps on log(B/beta) in log t with the second,
+For kl, s = psi'(z), so that pass is the one the inner solve made.  The
+outer search takes Newton steps on log(B/beta) in log t with the second,
 starts each inner solve from the tangent nu + (t' - t) dnu/dt of the first,
 and starts at the small-beta expansion B(t) ~ Var(X) psi''(phi'(1)) / (2 t^2)
-(the moment start); specs without psi'' take secant steps from
+(the moment start), for kl at the root of a two-point law with the same
+B(0+) where that is larger; specs without psi'' take secant steps from
 t = 1/(1 + beta), each inner solve starting from the previous probe's shift.
+The probe the search accepts last keeps its arrays, which give rho, Z* and
+the residuals without solving for the shift again.
 """
 
 from __future__ import annotations
@@ -127,13 +134,41 @@ def _expect(vals, probs):
     return np.einsum("ij,j->i", np.asarray(vals), probs)
 
 
-def _solve_inner_nu(y, probs, spec, t, nu0=None):
+class _Passes:
+    """n-sized passes of psi' made by one run of the core.
+
+    One instance is created per :func:`_characterize` call and handed down
+    the layers that make the passes, so that rows of one batch share it and
+    separate calls never do.
+    """
+
+    __slots__ = ("psi_prime",)
+
+    def __init__(self):
+        self.psi_prime = 0
+
+
+def _closed_kl(spec) -> bool:
+    """The builtin kl spec, whose psi' = psi'' = exp(. - 1) has a closed-form shift."""
+    return spec.name == "kl" and spec.has_closed_conjugate
+
+
+def _solve_inner_nu(y, probs, spec, t, nu0=None, passes=None):
     """Solve E psi'((y - nu)/t) = 1 for nu, row-wise; returns (nu, z, psi'(z)).
 
     y: (m, n) atoms, t: (m,) positive, nu0: optional (m,) starting shifts,
-    typically those of the previous probe in t.  The residual
-    f(nu) = E psi'((y - nu)/t) - 1 is non-increasing in nu.  With
-    c = phi'(1), Fenchel equality at x = 1 gives psi'(c) = 1, so
+    typically those of the previous probe in t; passes: a :class:`_Passes`
+    that counts the psi' passes made.
+
+    For the builtin kl spec, psi' = exp(. - 1) and the equation solves in
+    closed form: nu = max y + t log E psi'((y - max y)/t), the shift of the
+    entropic risk measure (Ahmadi-Javid, JOTA 2012; Ben-Tal & Teboulle, Math.
+    Finance 2007).  The arguments (y - max y)/t are <= 0, so psi' cannot
+    overflow, and its mean is at least p/e with p the mass at max y.  z and
+    psi'(z) are that one pass, shifted by log of the mean and divided by it.
+
+    Otherwise the residual f(nu) = E psi'((y - nu)/t) - 1 is non-increasing
+    in nu.  With c = phi'(1), Fenchel equality at x = 1 gives psi'(c) = 1, so
     [min y - c*t, max y - c*t] is an exact bracket: f >= 0 at its left end
     and f <= 0 at its right end.  At max y - t*phi'(1/p), with p the mass at
     max y, the maximal atoms alone carry E psi' = 1, so that is a left end
@@ -152,10 +187,21 @@ def _solve_inner_nu(y, probs, spec, t, nu0=None):
     and jumps between adjacent floats there), psi' is interpolated linearly
     between its two bracket ends, to the point where its mean is 1.
     """
+    passes = _Passes() if passes is None else passes
     m = y.shape[0]
     tcol = t[:, None]
-    row_min = y.min(axis=1)
     row_max = y.max(axis=1)
+    if _closed_kl(spec):
+        z = y - row_max[:, None]
+        z /= tcol
+        w = np.asarray(spec.psi_prime(z))
+        passes.psi_prime += 1
+        mass = _expect(w, probs)
+        z -= np.log(mass)[:, None]
+        w /= mass[:, None]
+        return row_max + t * np.log(mass), z, w
+
+    row_min = y.min(axis=1)
     c = float(spec.phi_prime(1.0))
     # psi'(z) <= 1/p_top at the maximal atoms gives a second left end; it
     # may overflow to -inf, leaving the first
@@ -171,6 +217,7 @@ def _solve_inner_nu(y, probs, spec, t, nu0=None):
         z = y - nu[:, None]
         z /= tcol
         w = np.asarray(spec.psi_prime(z))
+        passes.psi_prime += 1
         return _expect(w, probs) - 1.0, z, w
 
     x_floor = np.maximum(np.abs(row_min), np.abs(row_max))
@@ -184,6 +231,7 @@ def _solve_inner_nu(y, probs, spec, t, nu0=None):
     def at_offset(d):
         z = u - d[:, None]
         w = np.asarray(spec.psi_prime(z))
+        passes.psi_prime += 1
         return _expect(w, probs) - 1.0, z, w
 
     d, f, z, w, lo, hi = _bracketed_shift(at_offset, probs, spec, c, 1.0, 1.0, f_tol,
@@ -205,10 +253,16 @@ def _bracketed_shift(residual, probs, spec, c, scale, x_floor, f_tol, lo, hi, x)
 
     residual(x) returns (f, z, psi'(z)) with z the arguments of psi' at x,
     which move by -1/scale per unit of x.  The first iterate replaces the
-    bracket end on its side; unless it already solves the equation, one
-    further evaluation checks the other end.  Both signs are checked; an end
-    whose check fails (round-off in the probabilities, or an inexact numeric
-    psi') is moved outward by doubling steps.
+    bracket end on its side.  The other end, the far end, is exact in
+    theory, but round-off in the probabilities (or an inexact numeric psi')
+    can give it the wrong sign, so it is checked once by an evaluation: an
+    end whose check fails is moved outward by doubling steps.  Without
+    ``spec.psi_second`` the far end is checked before the first step, unless
+    the first iterate already solves the equation.  With it the check is
+    deferred until a row needs the far end: when its Newton step is
+    rejected, so that it would bisect towards that end, or when it would
+    stop beside that end with |f| > f_tol.  A row whose Newton steps reach
+    the root without either never evaluates its far end.
 
     Each following step is a Newton step when ``spec.psi_second`` exists,
     the step lands inside the bracket and it at most halves the step before
@@ -226,65 +280,88 @@ def _bracketed_shift(residual, probs, spec, c, scale, x_floor, f_tol, lo, hi, x)
     """
     x = np.clip(x, lo, hi)
     f, z, w = residual(x)
-    above = f > 0.0
-    if np.all(np.abs(f) <= f_tol):
-        f_other = np.where(above, -np.inf, np.inf)
-    else:
-        f_other = residual(np.where(above, hi, lo))[0]
-    lo, f_lo = np.where(above, x, lo), np.where(above, f, f_other)
-    hi, f_hi = np.where(above, hi, x), np.where(above, f_other, f)
-    width = hi - lo + x_floor
-    for _ in range(_WIDEN_ITERS):
-        bad_lo, bad_hi = f_lo < -f_tol, f_hi > f_tol
-        if not (bad_lo.any() or bad_hi.any()):
-            break
-        # f is monotone, so at most one end per row fails, and the failed end
-        # is a valid end on the other side
-        if bad_lo.any():
-            hi, f_hi = np.where(bad_lo, lo, hi), np.where(bad_lo, f_lo, f_hi)
-            lo = np.where(bad_lo, lo - width, lo)
-            f_lo = np.where(bad_lo, residual(lo)[0], f_lo)
-        if bad_hi.any():
-            lo, f_lo = np.where(bad_hi, hi, lo), np.where(bad_hi, f_hi, f_lo)
-            hi = np.where(bad_hi, hi + width, hi)
-            f_hi = np.where(bad_hi, residual(hi)[0], f_hi)
-        width = 2.0 * width
-    else:
+    # f at an unchecked far end is recorded as +-inf, the sign theory gives it
+    far_hi = f > 0.0
+    lo, f_lo = np.where(far_hi, x, lo), np.where(far_hi, f, np.inf)
+    hi, f_hi = np.where(far_hi, hi, x), np.where(far_hi, -np.inf, f)
+    unchecked = np.ones(x.shape, dtype=bool)
+
+    def check_far_ends(rows):
+        nonlocal lo, f_lo, hi, f_hi, unchecked
+        f_far = residual(np.where(far_hi, hi, lo))[0]
+        f_lo = np.where(rows & ~far_hi, f_far, f_lo)
+        f_hi = np.where(rows & far_hi, f_far, f_hi)
+        unchecked = unchecked & ~rows
+        width = hi - lo + x_floor
+        for _ in range(_WIDEN_ITERS):
+            bad_lo, bad_hi = f_lo < -f_tol, f_hi > f_tol
+            if not (bad_lo.any() or bad_hi.any()):
+                return
+            # f is monotone, so at most one end per row fails, and the failed
+            # end is a valid end on the other side
+            if bad_lo.any():
+                hi, f_hi = np.where(bad_lo, lo, hi), np.where(bad_lo, f_lo, f_hi)
+                lo = np.where(bad_lo, lo - width, lo)
+                f_lo = np.where(bad_lo, residual(lo)[0], f_lo)
+            if bad_hi.any():
+                lo, f_lo = np.where(bad_hi, hi, lo), np.where(bad_hi, f_hi, f_lo)
+                hi = np.where(bad_hi, hi + width, hi)
+                f_hi = np.where(bad_hi, residual(hi)[0], f_hi)
+            width = 2.0 * width
         raise NumericsError("inner shift bracket widening exhausted")
 
     def closed(lo, hi):
         x_tol = _EPS / 1024.0 * np.maximum(x_floor, np.maximum(np.abs(lo), np.abs(hi)))
         return (hi <= np.nextafter(lo, np.inf)) | (hi - lo <= x_tol)
 
-    done = (np.abs(f_lo) <= f_tol) | (np.abs(f_hi) <= f_tol) | closed(lo, hi)
+    def solved():
+        return (np.abs(f_lo) <= f_tol) | (np.abs(f_hi) <= f_tol)
+
+    newton = spec.psi_second is not None
+    if not (newton or solved().all()):
+        check_far_ends(unchecked)
+    done = solved() | closed(lo, hi)
     step = step_old = hi - lo
     for _ in range(_INNER_MAX_ITERS):
         if done.all():
-            break
-        nxt = x_floor * np.sinh(0.5 * (np.arcsinh(lo / x_floor) + np.arcsinh(hi / x_floor)))
-        nxt = np.where((hi - lo > x_floor) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
-        if spec.psi_second is not None:
-            # Newton on phi'(E psi') = c, using phi''(F) = 1 / psi''(phi'(F));
-            # a step that is not finite (psi' overflowed at x) is not taken
-            g = np.asarray(spec.phi_prime(f + 1.0))
-            dg = np.asarray(spec.psi_second(g))
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                dx = scale * (g - c) * dg / _expect(spec.psi_second(z), probs)
-            # a step below resolution is lengthened so that the bracket closes
-            least = np.maximum(np.abs(np.spacing(x)), _EPS / 1024.0 * x_floor)
-            dx = np.where(np.abs(dx) < least, np.copysign(least, f), dx)
-            newton = x + dx
-            take = (dg > 0.0) & (newton >= lo) & (newton <= hi) & (2.0 * np.abs(dx) <= step_old)
-            nxt = np.where(take, newton, nxt)
+            # rows that stopped beside their unchecked far end with |f| > f_tol
+            need = unchecked & ~solved()
+            if not need.any():
+                break
+        else:
+            nxt = x_floor * np.sinh(0.5 * (np.arcsinh(lo / x_floor) + np.arcsinh(hi / x_floor)))
+            nxt = np.where((hi - lo > x_floor) & (nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
+            take = False
+            if newton:
+                # Newton on phi'(E psi') = c, using phi''(F) = 1 / psi''(phi'(F));
+                # a step that is not finite (psi' overflowed at x) is not taken
+                g = np.asarray(spec.phi_prime(f + 1.0))
+                dg = np.asarray(spec.psi_second(g))
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    dx = scale * (g - c) * dg / _expect(spec.psi_second(z), probs)
+                # a step below resolution is lengthened so that the bracket closes
+                least = np.maximum(np.abs(np.spacing(x)), _EPS / 1024.0 * x_floor)
+                dx = np.where(np.abs(dx) < least, np.copysign(least, f), dx)
+                newton_x = x + dx
+                take = (dg > 0.0) & (newton_x >= lo) & (newton_x <= hi) & (2.0 * np.abs(dx) <= step_old)
+                nxt = np.where(take, newton_x, nxt)
+            # rows that would bisect towards their unchecked far end
+            need = unchecked & ~(take | done)
+        if need.any():
+            check_far_ends(need)
+            done = np.where(need, solved() | closed(lo, hi), done)
+            step = step_old = np.where(need, hi - lo, step)
+            continue
         step_old, step = step, np.abs(nxt - x)
         x = np.where(done, x, nxt)
         f, z, w = residual(x)
         above = (f > 0.0) & ~done
         below = (f <= 0.0) & ~done
+        unchecked &= ~np.where(far_hi, below, above)
         lo, f_lo = np.where(above, x, lo), np.where(above, f, f_lo)
         hi, f_hi = np.where(below, x, hi), np.where(below, f, f_hi)
         done |= (np.abs(f) <= f_tol) | closed(lo, hi)
-    if not done.all():
+    if not done.all() or (unchecked & ~solved()).any():
         raise NumericsError("inner shift solve did not converge")
     best = np.abs(f_lo) <= np.abs(f_hi)
     x_best, f_best = np.where(best, lo, hi), np.where(best, f_lo, f_hi)
@@ -340,7 +417,35 @@ def _newton_step(s, h, b, slope, target, level, t_kink):
     return np.where((slope < 0.0) & np.isfinite(step), step, np.nan)
 
 
-def _root_in_log_t(y, probs, spec, beta, attained, level):
+def _kl_two_point_start(mean, level, beta):
+    """log t of the kl root for the two-point law that keeps the row's top mass
+    p and mean: p at 0, 1 - p at -g, g = -mean/(1 - p); NaN where none is found.
+
+    For kl, B(0+) = log(1/p).  Tilting the two-point law by exp(y/t) moves
+    mass q = p e^lam / (1 - p + p e^lam), lam = g/t, onto the top, at
+    B = q lam - log(1 + p (e^lam - 1)), which rises from 0 to B(0+) in lam.
+    On a sample whose maximum lies far out in the tail, B stays near B(0+)
+    until the tilt lets go of the maximum and then falls steeply, which the
+    two-point law, with the same B(0+) and gap, follows and the small-beta
+    expansion does not: on t(4) samples of 1e5 atoms its root lay 0-0.5 below
+    the sample's in log t, the expansion's 0.2-1.7 below.  lam solves
+    B = beta by linear interpolation on a geometric grid.
+    """
+    p = np.exp(-level)[:, None]
+    lam = np.geomspace(1e-4, 1.0, 129) * (level[:, None] + 40.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = 1.0 / (1.0 + (1.0 - p) / p * np.exp(-lam))
+        b = q * lam - np.log1p(p * np.expm1(lam))
+    k = np.argmax(b >= beta, axis=1)
+    rows = np.arange(b.shape[0])
+    b0, b1 = b[rows, k - 1], b[rows, k]
+    l0, l1 = lam[rows, k - 1], lam[rows, k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = l0 + (beta - b0) / (b1 - b0) * (l1 - l0)
+        return np.where((k > 0) & (b1 >= beta), np.log(-mean / (1.0 - p[:, 0]) / root), np.nan)
+
+
+def _root_in_log_t(y, probs, spec, beta, attained, level, passes):
     """Solve B(t) = E phi(psi'((y - nu(t))/t)) = beta in s = log t, row-wise.
 
     y: (m, n) rows normalised to [-1, 0]; attained: (m,) regime of each row;
@@ -359,11 +464,16 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
         dB/dlog t = -(E[s z^2] - E[s z]^2 / E[s])  <= 0,
 
     evaluated with z - phi'(1) in place of z, which leaves both unchanged and
-    keeps the last difference from cancelling at large t.  The search starts
+    keeps the last difference from cancelling at large t.  For kl, s is the
+    psi'(z) of the probe.  The search starts
     at the small-beta expansion B(t) ~ Var(y) psi''(c) / (2 t^2), c = phi'(1):
     t0 = sqrt(Var(y) psi''(c) / (2 beta)), exact for chi2 while Z* >= 0, or
     at 1/(1 + beta) if that is smaller (large beta, where B(0+) is large
-    because the maximum carries little mass).  Steps on rows with a root are
+    because the maximum carries little mass).  For kl, B of a sample whose
+    maximum lies far out in the tail stays near B(0+) well beyond t0, where
+    Newton steps creep; the start is then raised to the root of the
+    two-point law with the same B(0+) (:func:`_kl_two_point_start`) where
+    that is larger.  Steps on rows with a root are
     Newton steps (:func:`_newton_step`), and each inner solve starts from the
     tangent prediction nu + (t' - t) dnu/dt of the probe before.  Where psi'
     vanishes below phi'(0), B = B(0+) up to t_kink, the t at which the
@@ -387,8 +497,11 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
     A row stops at an accepted probe, which becomes s_hi, or when the bracket
     is a few ulps wide.
 
-    Returns (t, nu) at s_hi, where B < beta on rows with a root, and the
-    number of probes made.
+    Returns (t, nu, z, psi'(z)) of the probe at s_hi, where B < beta on rows
+    with a root, and the number of probes made.  z and psi'(z) are the raw
+    arrays of that probe: single-row searches keep them by reference, and
+    rows accepted at different probes are gathered into one pair of arrays.
+    passes counts the psi' passes of the inner solves.
     """
     m = y.shape[0]
     s_floor = math.log(_T_FLOOR)
@@ -396,7 +509,9 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
     g_tol = 0.25 * _B_RTOL * beta
     s = np.full(m, -math.log1p(beta))
     s_lo, s_hi, nu_hi = np.full(m, -np.inf), np.full(m, np.inf), np.zeros(m)
+    z_hi = w_hi = None
     newton, t_kink, mean = spec.psi_second is not None, None, None
+    kl = _closed_kl(spec)
     if newton:
         c = float(spec.phi_prime(1.0))
         mean = _expect(y, probs)
@@ -405,6 +520,8 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
         del dev
         with np.errstate(divide="ignore"):
             s = np.minimum(s, np.maximum(0.5 * np.log(var * float(spec.psi_second(c)) / (2.0 * beta)), s_floor))
+        if kl:
+            s = np.fmax(s, _kl_two_point_start(mean, level, beta))
         edge = float(spec.phi_prime(0.0))
         if math.isfinite(edge):
             # psi' vanishes below phi'(0): up to t_kink the maximal atoms alone
@@ -412,6 +529,7 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
             top = y == 0.0
             gap = -np.where(top, -np.inf, y).max(axis=1)
             t_kink = gap / (np.asarray(spec.phi_prime(1.0 / _expect(top, probs))) - edge)
+            del top
             with np.errstate(divide="ignore"):
                 s_kink = np.log(t_kink)
             s_lo = np.where(attained & (s_kink > s_floor), s_kink, -np.inf)
@@ -429,28 +547,38 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
         t = np.exp(s[idx])
         if nu is None:  # the first probe covers every row
             # with psi'', from the large-t expansion z ~ c + (y - E y)/t
-            nu, z, w = _solve_inner_nu(rows, probs, spec, t, None if mean is None else mean - c * t)
+            nu, z, w = _solve_inner_nu(rows, probs, spec, t, None if mean is None else mean - c * t, passes)
         else:
             # the tangent prediction; without psi'' dnu is 0
             with np.errstate(invalid="ignore"):
                 nu0 = nu[idx] + (t - np.exp(s_prev[idx])) * dnu[idx]
-            nu[idx], z, w = _solve_inner_nu(rows, probs, spec, t, np.where(np.isfinite(nu0), nu0, nu[idx]))
+            nu[idx], z, w = _solve_inner_nu(rows, probs, spec, t, np.where(np.isfinite(nu0), nu0, nu[idx]), passes)
+        mass = _expect(w, probs)
+        # z and w stay as they are, since the probe may be the one the search
+        # returns; spare is an n-sized array of the probe free for reuse
+        spare = None
         if newton:  # E[s], E[s (z - c)] and E[s (z - c)^2], s = psi''(z)
-            sec = np.asarray(spec.psi_second(z))
-            z -= c
-            a0 = _expect(sec, probs)
-            sec *= z
-            a1 = _expect(sec, probs)
-            sec *= z
-            a2 = _expect(sec, probs)
-            del sec
-        del z  # before phi(w): the peak memory stays lower
+            if kl:  # s = psi'(z) = w
+                spare = z - c
+                a0 = mass
+                a1 = np.einsum("ij,ij,j->i", w, spare, probs)
+                a2 = np.einsum("ij,ij,j->i", w, np.square(spare, out=spare), probs)
+            else:
+                zc = z - c if c else z
+                spare = np.asarray(spec.psi_second(z))
+                a0 = _expect(spare, probs)
+                spare *= zc
+                a1 = _expect(spare, probs)
+                spare *= zc
+                a2 = _expect(spare, probs)
+                del zc
         # B of the density with its mean renormalised, as solve_dual returns
         # it, so that the margin also covers the inner solve's residual
-        w /= _expect(w, probs)[:, None]
+        density = np.divide(w, mass[:, None], out=spare)
+        del spare
         b = np.array(target)
-        b[idx] = _expect(spec.phi(w), probs)
-        del w
+        b[idx] = _expect(spec.phi(density), probs)
+        del density
         if not np.all(np.isfinite(b)):
             raise NumericsError("divergence expectation B(t) is not finite")
         if newton:
@@ -466,6 +594,14 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
         below = act & ((g <= 0.0) | hit)
         s_lo = np.where(above, np.maximum(s, s_lo), s_lo)
         s_hi, nu_hi = np.where(below, s, s_hi), np.where(below, nu, nu_hi)
+        keep = below[idx]
+        if keep.all() and idx.size == m:
+            z_hi, w_hi = z, w
+        elif keep.any():
+            if z_hi is None:
+                z_hi, w_hi = np.empty_like(y), np.empty_like(y)
+            z_hi[idx[keep]], w_hi[idx[keep]] = z[keep], w[keep]
+        del z, w
         has_lo, has_hi = np.isfinite(s_lo), np.isfinite(s_hi)
         width = s_hi - s_lo
         done |= hit | (~has_lo & (s_hi <= s_floor))
@@ -501,7 +637,7 @@ def _root_in_log_t(y, probs, spec, beta, attained, level):
         s = np.where(done, s, nxt)
     else:
         raise NumericsError("outer search for B(t) = beta did not converge")
-    return np.exp(s_hi), nu_hi, probes
+    return np.exp(s_hi), nu_hi, z_hi, w_hi, probes
 
 
 class _Solution(NamedTuple):
@@ -529,7 +665,9 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     root, rho = q(t*) = t*beta + nu + t E psi((X - nu)/t) and
     Z* = psi'((X - nu)/t) at the end of the search where E phi(Z*) <= beta;
     without one, rho = esssup and Z* is the extreme density on the maximal
-    atoms.  Constant rows have rho = X and Z* = 1.
+    atoms.  Constant rows have rho = X and Z* = 1.  z = (X - nu)/t and Z*
+    are those of the probe the search accepted last, kept, not solved for
+    again at t*.
     """
     m = x.shape[0]
     const, top, attained, level = _regime(x, probs, spec, beta)
@@ -538,17 +676,16 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     value = np.where(const, lo, hi)
     t, mu, residuals = np.full(m, np.nan), np.full(m, np.nan), np.full((m, 2), np.nan)
     idx = np.flatnonzero(~const)
-    probes = 0
+    probes, passes = 0, _Passes()
     if idx.size:
         y = (x[idx] - hi[idx, None]) / spread[idx, None]
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            t_n, nu_n, probes = _root_in_log_t(y, probs, spec, beta, attained[idx], level[idx])
-            # Z* is evaluated once, at the end the search returned
-            nu_n, z, w = _solve_inner_nu(y, probs, spec, t_n, nu_n)
+            t_n, nu_n, z, w, probes = _root_in_log_t(y, probs, spec, beta, attained[idx], level[idx], passes)
+            del y
             q = t_n * beta + nu_n + t_n * _expect(spec.psi(z), probs)
             residuals[idx, 0] = 1.0 - _expect(w, probs)
             residuals[idx, 1] = beta - _expect(spec.phi(w), probs)
-        del y, z  # before the density is built: the peak memory stays lower
+        del z  # before the density is built: the peak memory stays lower
         root = attained[idx]
         rows = idx[root]
         value[rows] = hi[rows] + spread[rows] * np.minimum(q[root], 0.0)
@@ -562,8 +699,8 @@ def _characterize(x, probs, spec, beta) -> _Solution:
         density[attained] = w[root]
     log = _debug_logger()
     if log is not None:
-        log.debug("characterize %s: %d rows, %d with a root, %d outer probes",
-                  spec.name, m, int(attained.sum()), probes)
+        log.debug("characterize %s: %d rows, %d with a root, %d outer probes, %d psi' passes",
+                  spec.name, m, int(attained.sum()), probes, passes.psi_prime)
     return _Solution(value, t, mu, density, attained, residuals)
 
 

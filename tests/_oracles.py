@@ -171,3 +171,51 @@ def inner_shift_oracle(y, probs, spec, t):
         hi = y.max() + width
     nu = optimize.brentq(f, lo, hi, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=2000)
     return nu, abs(f(nu))
+
+
+def plain_kernels(name):
+    """phi, psi, psi' and psi'' of a builtin spec as plain numpy expressions.
+
+    These are the kernels as first written, one temporary per operation; the
+    library's in-place kernels must return bit-identical values.  Inputs are
+    float arrays of any shape, 0-d included, as the spec's wrapper passes them.
+    """
+    if name == "kl":
+        def phi(x):
+            pos = x > 0
+            safe = np.where(pos, x, 1.0)
+            return np.where(pos, safe * np.log(safe), np.where(x == 0, 0.0, np.inf))
+
+        def psi(y):
+            return np.exp(y - 1.0)
+
+        return {"phi": phi, "psi": psi, "psi_prime": psi, "psi_second": psi}
+    if name == "chi2":
+        return {
+            "phi": lambda x: np.where(x >= 0, (x - 1.0) ** 2, np.inf),
+            "psi": lambda y: np.where(y >= -2.0, y + 0.25 * y * y, -1.0),
+            "psi_prime": lambda y: np.maximum(0.0, 1.0 + 0.5 * y),
+            "psi_second": lambda y: np.where(y > -2.0, 0.5, 0.0),
+        }
+    p = float(name.split(":", 1)[1])
+    q = p / (p - 1.0)
+    denom = p * (p - 1.0)
+
+    def phi(x):
+        xp = np.where(x >= 0, x, 0.0)
+        val = (np.power(xp, p) - p * xp + p - 1.0) / denom
+        return np.where(x >= 0, val, np.inf)
+
+    def ramp(y):
+        return np.maximum(0.0, 1.0 + (p - 1.0) * y)
+
+    def psi_second(y):
+        u = ramp(y)
+        return np.where(u > 0.0, np.power(u, 1.0 / (p - 1.0) - 1.0), 0.0)
+
+    return {
+        "phi": phi,
+        "psi": lambda y: (np.power(ramp(y), q) - 1.0) / p,
+        "psi_prime": lambda y: np.power(ramp(y), 1.0 / (p - 1.0)),
+        "psi_second": psi_second,
+    }

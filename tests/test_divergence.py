@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from divrisk.errors import (
     UnsupportedDivergenceError,
 )
 
-from _oracles import conjugate_oracle
+from _oracles import conjugate_oracle, plain_kernels
 
 
 def test_builtin_identifiers(specs):
@@ -252,3 +253,34 @@ def test_infinite_at_zero_rejected():
             phi_prime=lambda x: 1.0 - 1.0 / np.asarray(x, float),
             phi_at_zero=math.inf,
         )
+
+
+def _kernel_grid():
+    tiny = np.finfo(float).smallest_subnormal
+    base = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 2.2e-308, 1e-300, -1e-300,
+                     1e-16, 0.5, 1.0, 1.0 + 2e-16, 2.0, -0.5, -1.0, -2.0, -2.0 - 4e-16, -2.0 + 4e-16,
+                     -3.0, 7.25, 700.0, 710.0, -745.0, -746.0, 1e300, -1e300, np.inf, -np.inf])
+    rng = np.random.default_rng(7)
+    return np.concatenate([base, rng.standard_normal(200) * 10.0 ** rng.integers(-6, 4, 200)])
+
+
+@pytest.mark.parametrize("name", ["kl", "chi2", "power:1.5", "power:2", "power:3"])
+@pytest.mark.parametrize("kernel", ["phi", "psi", "psi_prime", "psi_second"])
+def test_in_place_kernels_match_the_plain_expressions_bitwise(name, kernel):
+    fn = getattr(dr.make_builtin_divergence(name), kernel)
+    plain = plain_kernels(name)[kernel]
+    grid = _kernel_grid()
+    inputs = [float(v) for v in grid[:40]] + [grid, grid[:7], grid[:228].reshape(12, 19), grid[::3]]
+    for x in inputs:
+        arr = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            want = plain(arr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x)
+        if np.ndim(x) == 0:
+            assert type(got) is float
+        else:
+            assert got.shape == arr.shape and got.dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(want, dtype=float).tobytes(), (name, kernel, x)
+        assert np.asarray(fn(arr)).tobytes() == np.asarray(want, dtype=float).tobytes()

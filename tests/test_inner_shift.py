@@ -7,6 +7,7 @@ n up to 1e4.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 import divrisk as dr
 from divrisk.divergence import validate_divergence
 from divrisk.errors import InvalidParameterError
-from divrisk.risk import _solve_inner_nu
+from divrisk.risk import _WIDEN_ITERS, _Passes, _solve_inner_nu
 
 from _oracles import inner_shift_oracle
 
 SPEC_NAMES = ("kl", "chi2", "power:1.5", "power:3", "young(kl)", "cosh-shift")
+EPS = np.finfo(float).eps
 
 
 def _cosh_spec():
@@ -110,3 +112,92 @@ def test_wrong_psi_second_rejected(specs):
         wrong = dataclasses.replace(spec, psi_second=lambda y: 2.0 * np.asarray(spec.psi_second(y)) + 0.1)
         with pytest.raises(InvalidParameterError, match="psi_second"):
             validate_divergence(wrong)
+
+
+@st.composite
+def perturbed_problems(draw):
+    """Atoms in [-1, 0] with ties at the maximum, and probabilities whose sum
+    is off 1 by delta, as round-off leaves it.  Where the mass off the
+    maximum is tiny, one end of the exact bracket then has the wrong sign."""
+    name = draw(st.sampled_from(("chi2", "power:1.5", "power:3")))
+    n = draw(st.integers(2, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tie_frac = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    tiny_rest = draw(st.booleans())
+    delta = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-12.0, -9.0))
+    t = 10.0 ** draw(st.floats(-2.0, 3.0))
+    from_left = draw(st.booleans())
+    rng = np.random.default_rng(seed)
+    y = -rng.uniform(0.0, 1.0, n)
+    y[rng.random(n) < tie_frac] = 0.0
+    y[0], y[1] = 0.0, -1.0
+    w = rng.uniform(0.0, 1.0, n) + 1e-3
+    if tiny_rest:
+        w[y < 0.0] *= 1e-12
+    return name, y, w / w.sum() * (1.0 + delta), t, from_left
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbed_problems())
+def test_far_end_with_the_wrong_sign_is_widened(specs, problem):
+    # the far end of the bracket is checked only when a row needs it; a wrong
+    # sign there must still move the bracket outward, never end the solve
+    name, y, probs, t, from_left = problem
+    spec = specs[name]
+    f_tol = 4.0 * EPS * math.sqrt(y.size)
+
+    def f(nu):
+        return float(np.einsum("ij,j->i", np.asarray(spec.psi_prime((y[None, :] - nu) / t)), probs)[0]) - 1.0
+
+    left, right = -1.0, 0.0  # [min y - c t, max y - c t] with c = phi'(1) = 0
+    nu, _, w = _solve_inner_nu(y[None, :], probs, spec, np.array([t]), np.array([left]) if from_left else None)
+    nu = float(nu[0])
+    resid = float(np.einsum("ij,j->i", w, probs)[0]) - 1.0
+    # beyond f_tol only where no float shift does better
+    assert abs(resid) <= f_tol or f(np.nextafter(nu, -np.inf)) >= 0.0 >= f(np.nextafter(nu, np.inf)), (name, t, resid)
+    # the root lies beyond an end with the wrong sign, inside the widened bracket
+    reach = 2.0**_WIDEN_ITERS * (1.0 + t)
+    if f(right) > f_tol:
+        assert right < nu <= right + reach
+    elif f(left) < -f_tol:
+        assert left - reach <= nu < left
+    else:
+        assert left <= nu <= right
+
+
+@st.composite
+def kl_shift_problems(draw):
+    n = draw(st.integers(1, 2000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tie_frac = draw(st.sampled_from([0.0, 0.0, 0.3, 0.9]))
+    p_top = draw(st.sampled_from([None, 1e-6, 1e-12]))
+    offset = draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, 1e9]))
+    log10_t = draw(st.floats(-8.0, 3.0))
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(0.0, 1.0, n)
+    y[rng.random(n) < tie_frac] = 1.0
+    y[0] = 1.0
+    w = rng.uniform(0.0, 1.0, n)
+    top = y == 1.0
+    if p_top is not None and not top.all():
+        w[~top] *= (1.0 - p_top) / w[~top].sum()
+        w[top] = p_top / top.sum()
+    return y + offset, w / w.sum(), 10.0**log10_t
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kl_shift_problems())
+def test_kl_closed_form_shift_matches_brentq(kl, problem):
+    y, probs, t = problem
+    passes = _Passes()
+    nu, z, w = _solve_inner_nu(y[None, :], probs, kl, np.array([t]), None, passes)
+    assert passes.psi_prime == 1
+    # z and psi'(z) carry no error from nu, whatever the offset: E psi'(z)
+    # misses 1 only by the round-off of two sums of n terms, E e^y and E[e^y/E e^y]
+    assert abs(float(np.einsum("ij,j->i", w, probs)[0]) - 1.0) <= 2.0 * EPS * (y.size + 1)
+    assert np.allclose(w, np.asarray(kl.psi_prime(z)), rtol=1e-12, atol=1e-300)
+    # a float nu resolves only to its own ulp, as does the oracle's
+    nu_oracle, _ = inner_shift_oracle(y, probs, kl, t)
+    p_top = float(probs[y == y.max()].sum())
+    tol = 16.0 * EPS * (np.abs(y).max() + t * (1.0 - math.log(p_top)))
+    assert abs(nu[0] - nu_oracle) <= tol, (nu[0], nu_oracle, t)

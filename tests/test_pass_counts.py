@@ -1,15 +1,23 @@
 """Machine-independent cost guard for evaluate_primal.
 
 Each builtin spec is wrapped so that every call to psi', psi'' and phi is
-counted; one evaluate_primal on a seeded t(4) sample of n = 1000 atoms must
-stay within the bounds below.  The bounds are about 1.25x the counts the
-Newton outer search makes (kl, chi2, power:1.5, power:3 at beta 0.1 / 0.5 /
-2): a search that falls back to bisection, or an inner solve that loses its
-warm start, exceeds them.  psi'' counts include the (rows,)-sized calls of
-the inner Newton step as well as the n-sized passes.
+counted; one evaluate_primal on a seeded t(4) sample must stay within the
+bounds below.  The bounds are about 1.25x the counts the Newton outer search
+makes (kl, chi2, power:1.5, power:3 at beta 0.1 / 0.5 / 2 on n = 1000 atoms,
+kl and chi2 at beta 0.5 on n = 1e6): a search that falls back to bisection,
+an inner solve that loses its warm start or checks bracket ends it does not
+need, or a shift solved again at t*, exceeds them.  psi'' counts include the
+(rows,)-sized calls of the inner Newton step as well as the n-sized passes.
+kl makes one psi' pass per probe, since its shift is closed form, and its
+one psi'' call is the scalar psi''(phi'(1)) of the start.
+
+The core logs the psi' passes it made on its DIVRISK_LOG=debug line; that
+count must equal the wrapped count.
 """
 
 import dataclasses
+import logging
+import re
 
 import numpy as np
 import pytest
@@ -18,26 +26,32 @@ import divrisk as dr
 
 # (spec, beta): (psi' calls, psi'' calls, phi calls) allowed per evaluation
 BOUNDS = {
-    ("kl", 0.1): (14, 14, 8),
-    ("kl", 0.5): (14, 14, 8),
-    ("kl", 2.0): (20, 20, 9),
-    ("chi2", 0.1): (12, 12, 8),
-    ("chi2", 0.5): (13, 14, 8),
-    ("chi2", 2.0): (19, 23, 9),
-    ("power:1.5", 0.1): (17, 20, 7),
-    ("power:1.5", 0.5): (18, 22, 8),
-    ("power:1.5", 2.0): (20, 27, 8),
-    ("power:3", 0.1): (25, 33, 9),
-    ("power:3", 0.5): (35, 49, 10),
-    ("power:3", 2.0): (33, 44, 10),
+    ("kl", 0.1): (5, 2, 8),
+    ("kl", 0.5): (5, 2, 8),
+    ("kl", 2.0): (7, 2, 9),
+    ("chi2", 0.1): (8, 12, 8),
+    ("chi2", 0.5): (9, 14, 8),
+    ("chi2", 2.0): (14, 23, 9),
+    ("power:1.5", 0.1): (12, 20, 7),
+    ("power:1.5", 0.5): (13, 22, 8),
+    ("power:1.5", 2.0): (15, 27, 8),
+    ("power:3", 0.1): (19, 33, 9),
+    ("power:3", 0.5): (28, 49, 10),
+    ("power:3", 2.0): (25, 44, 10),
 }
+# at n = 1e6, beta 0.5
+LARGE_BOUNDS = {"kl": (7, 2, 9), "chi2": (13, 22, 8)}
 COUNTED = ("psi_prime", "psi_second", "phi")
+
+
+def _t4_sample(n):
+    rng = np.random.default_rng(2020)
+    return dr.EmpiricalDistribution(atoms=rng.standard_t(4, n), probs=rng.dirichlet(np.ones(n)))
 
 
 @pytest.fixture(scope="module")
 def sample():
-    rng = np.random.default_rng(2020)
-    return dr.EmpiricalDistribution(atoms=rng.standard_t(4, 1000), probs=rng.dirichlet(np.ones(1000)))
+    return _t4_sample(1000)
 
 
 def _counting(spec, counts):
@@ -50,7 +64,7 @@ def _counting(spec, counts):
 
         return counted
 
-    return dataclasses.replace(spec, **{name: wrap(name) for name in COUNTED})
+    return dataclasses.replace(spec, **{name: wrap(name) for name in COUNTED if getattr(spec, name) is not None})
 
 
 @pytest.mark.parametrize("name, beta", sorted(BOUNDS))
@@ -61,3 +75,34 @@ def test_calls_per_evaluation(specs, sample, name, beta):
     assert ev.value == dr.evaluate_primal(sample, specs[name], beta).value
     for k, bound in zip(COUNTED, BOUNDS[name, beta]):
         assert counts[k] <= bound, (k, counts)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_BOUNDS))
+def test_calls_per_evaluation_at_a_million_atoms(specs, name):
+    counts = dict.fromkeys(COUNTED, 0)
+    assert dr.evaluate_primal(_t4_sample(1_000_000), _counting(specs[name], counts), 0.5).attained
+    for k, bound in zip(COUNTED, LARGE_BOUNDS[name]):
+        assert counts[k] <= bound, (k, counts)
+
+
+def _logged_passes(caplog):
+    lines = [r.getMessage() for r in caplog.records if r.name == "divrisk.risk"]
+    return [int(re.search(r"(\d+) psi' passes", line).group(1)) for line in lines]
+
+
+@pytest.mark.parametrize("name", ["kl", "chi2", "power:1.5", "power:3", "young(kl)"])
+def test_debug_line_counts_the_psi_prime_passes(specs, young_pairs, sample, caplog, name):
+    spec = young_pairs["kl"].spec if name == "young(kl)" else specs[name]
+    # two atoms with a top probability of 4.7e-13: the inner solve then also
+    # takes its steps in units of t from an atom
+    tiny_top = dr.EmpiricalDistribution(atoms=np.array([0.0, 1.0]), probs=np.array([1.0 - 4.7e-13, 4.7e-13]))
+    counts = dict.fromkeys(COUNTED, 0)
+    with caplog.at_level(logging.DEBUG, logger="divrisk.risk"):
+        for dist, beta in ((sample, 0.5), (tiny_top, 0.1)):
+            before = counts["psi_prime"]
+            dr.evaluate_primal(dist, _counting(spec, counts), beta)
+            assert _logged_passes(caplog)[-1] == counts["psi_prime"] - before
+        # rows of one batch share the count of their core run
+        before = counts["psi_prime"]
+        dr.evaluate_primal_batch(np.stack([sample.atoms, -sample.atoms]), sample.probs, _counting(spec, counts), 0.5)
+        assert _logged_passes(caplog)[-1] == counts["psi_prime"] - before
