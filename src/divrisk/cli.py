@@ -162,7 +162,7 @@ def _report_dualnorm(config, spec, dist) -> dict:
         "divergence": spec.name,
         "beta": config.beta,
         "dual_norm": value,
-        "mean_abs": float(np.dot(dist.probs, np.abs(dist.atoms))),
+        "mean_abs": dual._expectation(dist.probs, np.abs(dist.atoms)),
     }
 
 

@@ -17,7 +17,9 @@ Truncating a divergence function at its unit root yields a Young function
 ``Phi`` (zero on [0, 1], max{0, phi} beyond), which generates the Orlicz and
 Luxemburg norms used by :mod:`divrisk.norms`.  The uniform gap
 ``d = sup |phi - Phi|`` controls how far the Young norm can drift from the
-divergence norm.
+divergence norm; it is ``max{phi(0), psi(0)}`` in closed form, since phi and
+Phi differ only on [0, 1], where phi lies between its minimum ``-psi(0)``
+and ``phi(0)``.
 
 Subderivative convention: at kinks the right subderivative is used, so all
 scalar searches against ``phi'`` and ``psi'`` bisect monotone maps.
@@ -311,7 +313,7 @@ def make_builtin_divergence(name: str) -> DivergenceSpec:
 def _conjugate_search(phi, phi_prime, y):
     """sup_{x>=0} x*y - phi(x) via bracket growth and bisection on phi'.
 
-    Returns (value, maximiser) as arrays aligned with y.  The bracket upper
+    Returns (value, maximiser) as arrays of the shape of y.  The bracket upper
     end grows geometrically (x4) until phi'(X) exceeds y; termination is
     guaranteed by superlinear growth.
     """
@@ -336,7 +338,7 @@ def _conjugate_search(phi, phi_prime, y):
             hi = np.where(small, hi, mid)
         xstar = np.where(at_zero, 0.0, 0.5 * (lo + hi))
         value = xstar * yv - np.asarray(phi(xstar))
-    return value, xstar
+    return value.reshape(np.shape(y)), xstar.reshape(np.shape(y))
 
 
 def numeric_conjugate(spec: DivergenceSpec, y):
@@ -346,7 +348,7 @@ def numeric_conjugate(spec: DivergenceSpec, y):
     back specs without one.  Accepts floats or arrays.
     """
     value, _ = _conjugate_search(spec.phi, spec.phi_prime, y)
-    return _maybe_scalar(value if np.ndim(y) else value[0])
+    return _maybe_scalar(value)
 
 
 def divergence_from_callables(
@@ -472,31 +474,13 @@ def validate_divergence(spec: DivergenceSpec, n_grid: int = 64) -> None:
 # Young pair
 
 
-def _interior_minimiser(spec: DivergenceSpec) -> float:
-    """Argmin of phi on [0, inf), located by bisection on phi'."""
-    lo = 1e-12
-    if spec.phi_prime(lo) >= 0:
-        return 0.0
-    hi = 1.0
-    for _ in range(80):
-        if spec.phi_prime(hi) > 0:
-            break
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if spec.phi_prime(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def young_pair(spec: DivergenceSpec) -> YoungPair:
     """Truncate phi to the Young function Phi and conjugate it.
 
-    Phi vanishes on [0, 1] and equals max{0, phi} beyond; the gap
-    d = sup|phi - Phi| is a grid supremum unioned with the analytic interior
-    minimum of phi and the endpoints {0, 1}.
+    Phi vanishes on [0, 1] and equals max{0, phi} beyond.  The gap
+    d = sup|phi - Phi| is max{phi(0), psi(0)} exactly: right of 1 the two
+    coincide, since phi >= 0 there (checked below), so on [0, 1] the convex
+    phi ranges between its minimum -psi(0) and max{phi(0), phi(1)} = phi(0).
     """
     base_phi = spec.phi
     base_phi_prime = spec.phi_prime
@@ -549,10 +533,7 @@ def young_pair(spec: DivergenceSpec) -> YoungPair:
         Psi_w = _wrap(Psi)
         Psi_prime_w = _wrap(Psi_prime)
 
-    x_min = _interior_minimiser(spec)
-    grid = np.concatenate([np.logspace(-8, 3, 10_000), [0.0, x_min, 1.0]])
-    gaps = np.abs(np.asarray(base_phi(grid)) - np.asarray(Phi_w(grid)))
-    d = float(np.max(gaps))
+    d = max(spec.phi_at_zero, float(spec.psi(0.0)))
 
     t2 = spec.delta2_constants
     young_spec = DivergenceSpec(

@@ -45,6 +45,8 @@ class DualSolution:
 
 
 def _expectation(probs, values) -> float:
+    """E values under probs.  einsum keeps this single-threaded; a BLAS dot
+    on an n-sized vector wakes the BLAS threads, which then keep spinning."""
     return float(np.einsum("i,i->", probs, np.asarray(values)))
 
 
@@ -168,6 +170,6 @@ def divergence_ball_form(dist, spec, beta, q):
         raise DataError("q must be nonnegative")
     if abs(qa.sum() - 1.0) > 1e-6:
         raise DataError(f"q sums to {qa.sum()!r}, expected 1")
-    expectation = float(np.dot(qa, dist.atoms))
+    expectation = _expectation(qa, dist.atoms)
     div = discrete_divergence(qa, dist.probs, spec, sum_tol=1e-6)
     return expectation, div <= beta

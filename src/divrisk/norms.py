@@ -3,23 +3,31 @@
 The divergence norm is ||X|| = rho(|X|).  For the Young pair (Phi, Psi)
 derived from the same divergence the Luxemburg norm is the smallest lambda
 with E Phi(|X|/lambda) <= 1 and the Orlicz norm is the one-variable infimum
-inf_t t*(1 + E Psi(|X|/t)); the two are equivalent within a factor of two.
+inf_t t*(1 + E Phi(|X|/t)); the two are equivalent within a factor of two.
 
 The dual norm of Z admits a one-variable characterization when phi satisfies
 the Delta2 condition: it is the smallest lambda >= E|Z| such that the
 truncated density max{c_Z(lambda), |Z|/lambda} stays inside the divergence
 ball, where the truncation level c_Z(lambda) restores unit mean.
+
+Each norm is the root of one monotone equation in s = log(scale): the
+Luxemburg norm of log E Phi(|X|/lambda) = 0; the Orlicz norm and
+:func:`young_norm_bound` of E[x F'(x) - F(x)] = 1 at x = |X|/t, the
+first-order condition of the Amemiya form with F = Phi (or Psi), whose left
+side is E Psi(Phi'(x)) by Fenchel equality; the dual norm of
+log(E phi(max{c_Z(lambda), |Z|/lambda}) / beta) = 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._search import golden_min
 from .divergence import DivergenceSpec, YoungPair
+from .dual import _expectation
 from .empirical import EmpiricalDistribution
 from .errors import InvalidParameterError, NumericsError, UnsupportedDivergenceError
 from .risk import _check_beta, evaluate_primal
@@ -35,6 +43,8 @@ __all__ = [
     "norm_report",
 ]
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class NormReport:
@@ -45,132 +55,193 @@ class NormReport:
     c_lambda_trace: Optional[List[Tuple[float, float]]] = None
 
 
-def _abs_dist(dist: EmpiricalDistribution) -> EmpiricalDistribution:
-    return dist.map_atoms(np.abs)
+def _log(v: float) -> float:
+    """log of a mean >= 0; NaN, from inf - inf where F overflows, is +inf."""
+    return math.log(v) if v > 0.0 else (-math.inf if v <= 0.0 else math.inf)
+
+
+def _root_in_log(g, s: float, gs: float, width: float = 0.0) -> Tuple[float, float]:
+    """Bracket and solve g(s) = 0 for a non-increasing g, from s with g(s) = gs.
+
+    Steps outward by doubling steps until g changes sign, then runs ITP
+    (Oliveira & Takahashi, ACM TOMS 2020): an inverse quadratic (else regula
+    falsi) point, truncated towards the midpoint by (b - a)**2 / (b0 - a0)
+    and projected so that no more steps are taken than bisection's plus one,
+    also where g jumps (the Amemiya slope under kl, at every atom).  Stops at
+    a width of ``width`` or a few ulps of s; returns (a, b), g(a) > 0 >= g(b).
+    """
+    right = gs > 0.0
+    x, gx = s, gs
+    step = 1.0
+    for _ in range(12):  # steps 1, 2, ..., 2**11 in s cover every float scale
+        y = x + step if right else x - step
+        gy = g(y)
+        if (gy > 0.0) != right:
+            break
+        x, gx = y, gy
+        step *= 2.0
+    else:
+        raise NumericsError("norm root bracket expansion exhausted")
+    (a, ga), (b, gb) = ((x, gx), (y, gy)) if right else ((y, gy), (x, gx))
+    c, gc = x, math.nan
+
+    tol = max(width, 2.0 * _EPS * max(1.0, abs(a), abs(b)))
+    n_max = math.ceil(math.log2((b - a) / tol)) + 1
+    k1 = 1.0 / (b - a)
+    for j in range(n_max):
+        w = b - a
+        if w <= tol:
+            break
+        mid = a + 0.5 * w
+        x = mid
+        if math.isfinite(ga) and math.isfinite(gb):
+            xf = a + w * ga / (ga - gb)
+            if math.isfinite(gc) and gc != ga and gc != gb:
+                q = (a * gb * gc / ((ga - gb) * (ga - gc)) + b * ga * gc / ((gb - ga) * (gb - gc))
+                     + c * ga * gb / ((gc - ga) * (gc - gb)))
+                if a < q < b:
+                    xf = q
+            sigma = math.copysign(1.0, mid - xf)
+            delta = max(k1 * w * w, 0.5 * tol)
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = tol * 2.0 ** (n_max - j - 1) - 0.5 * w
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            if not a < x < b:
+                x = mid
+        gx = g(x)
+        if gx > 0.0:
+            c, gc, a, ga = a, ga, x, gx
+        else:
+            c, gc, b, gb = b, gb, x, gx
+    return a, b
 
 
 def phi_beta_norm(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> float:
     """Divergence norm rho(|X|)."""
-    return evaluate_primal(_abs_dist(dist), spec, beta).value
+    return evaluate_primal(dist.map_atoms(np.abs), spec, beta).value
 
 
 def luxemburg_norm(dist: EmpiricalDistribution, pair: YoungPair) -> float:
     """Smallest lambda > 0 with E Phi(|X|/lambda) <= 1 (zero for X == 0).
 
-    lambda -> E Phi(|X|/lambda) is non-increasing and continuous, and is
-    already 0 at lambda = max|X| since Phi vanishes on [0, 1]; bisection
-    against level one therefore starts from a feasible right end.
+    Solves log E Phi(|X|/lambda) = 0 in s = log(lambda / max|X|) from
+    lambda = E|X|, and returns the bracket end where the level is <= 1.
     """
-    w = np.abs(dist.atoms)
-    p = dist.probs
-    top = float(w.max())
+    top = float(np.abs(dist.atoms).max())
     if top == 0.0:
         return 0.0
+    x, p = np.abs(dist.atoms) / top, dist.probs
 
-    def level(lam: float) -> float:
-        return float(np.dot(p, np.asarray(pair.Phi(w / lam))))
+    def g(s):
+        return _log(_expectation(p, pair.Phi(x * np.exp(-s))))
 
-    hi = top
-    lo = top
-    for _ in range(200):
-        lo *= 0.5
-        if level(lo) > 1.0:
-            break
-    else:
-        raise NumericsError("Luxemburg bracket expansion exhausted")
-    for _ in range(120):
-        if hi - lo <= 1e-12 * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if level(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = math.log(_expectation(p, x))
+        _, b = _root_in_log(g, s, g(s))
+    return float(top * np.exp(b))
 
 
-def _one_variable_inf(dist: EmpiricalDistribution, fn) -> float:
-    """inf_t t*(1 + E fn(|X|/t)) by golden section over log t."""
-    w = np.abs(dist.atoms)
-    p = dist.probs
-    top = float(w.max())
+def _amemiya(dist: EmpiricalDistribution, F, F_prime) -> float:
+    """inf_t t*(1 + E F(|X|/t)) for a Young function F.
+
+    In s = log(t/max|X|) the objective O is convex with slope
+    t*(1 - E[x F'(x) - F(x)]) at x = |X|/t; the root of E[x F'(x) - F(x)] = 1
+    is bracketed from t = E|X| to a width of 1e-8.  The value is
+    the least O at the two ends and where their tangents meet: within
+    O(width**2) of the minimum whether it is smooth or a kink of O (at an
+    atom, under kl).  Only that last point costs a pass of F.
+    """
+    top = float(np.abs(dist.atoms).max())
     if top == 0.0:
         return 0.0
+    x, p = np.abs(dist.atoms) / top, dist.probs
+    seen = {}
 
-    def objective(log_t):
-        t = np.exp(log_t)
-        vals = np.asarray(fn(w[None, :] / t[:, None]))
-        return t * (1.0 + vals @ p)
+    def g(s):
+        t = float(np.exp(s))
+        xs = x * np.exp(-s)
+        f = np.asarray(F(xs))
+        lhs = _expectation(p, xs * np.asarray(F_prime(xs)) - f)
+        seen[s] = (t * (1.0 + _expectation(p, f)), t * (1.0 - lhs))
+        return _log(lhs)
 
-    lo = np.array([np.log(top) - 22.0])
-    hi = np.array([np.log(top) + 8.0])
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for _ in range(3):
-            log_t, val = golden_min(objective, lo, hi, iters=80)
-            span = float(hi[0] - lo[0])
-            pos = float(log_t[0])
-            if lo[0] + 0.02 * span < pos < hi[0] - 0.02 * span:
-                break
-            if pos <= lo[0] + 0.02 * span:
-                lo -= 16.0
-            else:
-                hi += 16.0
-    return float(val[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = math.log(_expectation(p, x))
+        a, b = _root_in_log(g, s, g(s), 1e-8)
+        (va, da), (vb, db) = seen[a], seen[b]
+        value = min(va, vb)
+        if math.isfinite(da - db) and da < db:
+            u = min(max(a + (vb - va - db * (b - a)) / (da - db), a), b)
+            value = min(value, float(np.exp(u)) * (1.0 + _expectation(p, F(x * np.exp(-u)))))
+    return top * value
 
 
 def orlicz_norm(dist: EmpiricalDistribution, pair: YoungPair) -> float:
     """Orlicz norm via the one-variable Amemiya form inf_t t*(1 + E Phi(|X|/t)).
 
+    The minimiser solves E Psi(Phi'(|X|/t)) = 1, computed as
+    E[x Phi'(x) - Phi(x)] = 1 at x = |X|/t (Krasnosel'skii & Rutickii 1961).
     This is the norm dual to the Luxemburg unit ball of the complementary
     function and satisfies luxemburg <= orlicz <= 2 * luxemburg.
     """
-    return _one_variable_inf(dist, pair.Phi)
+    return _amemiya(dist, pair.Phi, pair.spec.phi_prime)
 
 
 def young_norm_bound(dist: EmpiricalDistribution, pair: YoungPair) -> float:
     """One-variable Young-risk bound inf_t t*(1 + E Psi(|X|/t)).
 
-    Freezing the shift variable at zero in the Young-pair risk norm at unit
-    aversion gives this upper form; it is the functional the norm-equivalence
-    constants (1/max{1,beta}, (Psi(1)+1)/min{1,beta}) relate to the
-    divergence norm of the Young spec.  It is not the classical Orlicz norm:
-    the factor-2 sandwich with the Luxemburg norm can fail for it.
+    The minimiser solves E[y Psi'(y) - Psi(y)] = E Phi(Psi'(y)) = 1 at
+    y = |X|/t.  Freezing the shift variable at zero in the Young-pair risk
+    norm at unit aversion gives this upper form; it is the functional the
+    norm-equivalence constants (1/max{1,beta}, (Psi(1)+1)/min{1,beta}) relate
+    to the divergence norm of the Young spec.  It is not the classical
+    Orlicz norm: the factor-2 sandwich with the Luxemburg norm can fail for it.
     """
-    return _one_variable_inf(dist, pair.Psi)
+    return _amemiya(dist, pair.Psi, pair.spec.psi_prime)
+
+
+def _truncation_levels(w: np.ndarray, p: np.ndarray, ez: float):
+    """lam -> c_Z(lam) for |Z| = w with E|Z| = ez: one sort, then a binary
+    search per lam.  With w ascending, lam * E max{c, |Z|/lam} equals
+    c*lam*P_k + tail_k on w_k <= c*lam <= w_(k+1), with P_k = P(|Z| <= w_k)
+    and tail_k = E[|Z|; |Z| > w_k], so c = (1 - tail_k/lam) / P_k on the
+    first segment with w_k*P_k + tail_k >= lam.  At lam = E|Z| the level is
+    essinf(|Z|/lam), and for constant Z it is one."""
+    order = np.argsort(w)
+    s = w[order]
+    mass = np.cumsum(p[order])
+    tail = np.append(np.cumsum((p[order] * s)[::-1])[-2::-1], 0.0)
+    reach = s * mass + tail
+    spread = float(s[-1] - s[0])
+
+    def level(lam: float) -> float:
+        if spread / lam <= 1e-15:
+            return 1.0
+        if lam <= ez * (1.0 + 1e-15):
+            return float(s[0] / lam)
+        k = int(np.searchsorted(reach, lam))
+        if k == 0:
+            return float(s[0] / lam)
+        c = (1.0 - tail[k - 1] / lam) / mass[k - 1]
+        return float(min(max(c, s[k - 1] / lam), s[k] / lam if k < s.size else 1.0))
+
+    return level
 
 
 def truncation_level(z_dist: EmpiricalDistribution, lam: float) -> float:
     """The level c in [essinf(|Z|/lam), 1] with E max{c, |Z|/lam} = 1.
 
-    With s = |Z|/lam sorted ascending, E max{c, S} is linear in c between
-    consecutive atoms: on s_k <= c <= s_(k+1) it equals c*P_k + tail_k, with
-    P_k = P(S <= s_k) and tail_k = E[S; S > s_k].  The level is therefore
-    (1 - tail_k) / P_k on the first segment whose right end reaches one.  At
-    lam = E|Z| the boundary value essinf(|Z|/lam) is returned, and for
-    constant Z the level is identically one.
+    E max{c, |Z|/lam} is piecewise linear in c with breakpoints at the atoms;
+    see :func:`_truncation_levels`.
     """
     w = np.abs(z_dist.atoms)
     p = z_dist.probs
-    ez = float(np.dot(p, w))
+    ez = _expectation(p, w)
     if ez <= 0:
         raise InvalidParameterError("truncation level undefined for Z == 0")
     if lam < ez * (1.0 - 1e-12):
         raise InvalidParameterError(f"lambda must be >= E|Z| = {ez!r}")
-    scaled = w / lam
-    if float(scaled.max() - scaled.min()) <= 1e-15:
-        return 1.0
-    if lam <= ez * (1.0 + 1e-15):
-        return float(scaled.min())
-
-    order = np.argsort(scaled)
-    s = scaled[order]
-    mass = np.cumsum(p[order])
-    tail = np.append(np.cumsum((p[order] * s)[::-1])[-2::-1], 0.0)
-    k = int(np.searchsorted(s * mass + tail, 1.0))  # E max{s_k, S} first >= 1
-    if k == 0:
-        return float(s[0])
-    c = (1.0 - tail[k - 1]) / mass[k - 1]
-    return float(min(max(c, s[k - 1]), s[k] if k < s.size else 1.0))
+    return _truncation_levels(w, p, ez)(lam)
 
 
 def dual_norm(z_dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> float:
@@ -178,8 +249,9 @@ def dual_norm(z_dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> floa
 
     Equals E|Z| whenever |Z|/E|Z| already lies in the divergence ball;
     otherwise it is the smallest lambda >= E|Z| whose truncated density
-    max{c_Z(lambda), |Z|/lambda} satisfies E phi(...) <= beta, located by
-    bisection on that feasibility predicate with geometric upper expansion.
+    max{c_Z(lambda), |Z|/lambda} satisfies E phi(...) <= beta: the bracket
+    end inside the ball of log(E phi(...) / beta) = 0 in s = log(lambda/E|Z|),
+    with |Z| sorted once for every c_Z(lambda).
     """
     beta = _check_beta(beta)
     if not spec.delta2:
@@ -188,34 +260,21 @@ def dual_norm(z_dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> floa
         )
     w = np.abs(z_dist.atoms)
     p = z_dist.probs
-    ez = float(np.dot(p, w))
+    ez = _expectation(p, w)
     if ez == 0.0:
         return 0.0
-    if float(np.dot(p, np.asarray(spec.phi(w / ez)))) <= beta:
-        return ez
+    level = _truncation_levels(w, p, ez)
 
-    def feasible(lam: float) -> bool:
-        c = truncation_level(z_dist, lam)
-        zstar = np.maximum(c, w / lam)
-        return float(np.dot(p, np.asarray(spec.phi(zstar)))) <= beta
+    def g(s):
+        lam = float(ez * np.exp(s))
+        return _log(_expectation(p, spec.phi(np.maximum(w / lam, level(lam)))) / beta)
 
-    hi = ez
-    for _ in range(200):
-        hi *= 2.0
-        if feasible(hi):
-            break
-    else:
-        raise NumericsError("dual norm upper bracket expansion exhausted")
-    lo = max(ez, hi / 2.0)
-    for _ in range(120):
-        if hi - lo <= 1e-9 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with np.errstate(over="ignore"):
+        g0 = g(0.0)
+        if g0 <= 0.0:
+            return ez
+        _, b = _root_in_log(g, 0.0, g0)
+    return float(ez * np.exp(b))
 
 
 def norm_report(
@@ -237,10 +296,11 @@ def norm_report(
         dn = dual_norm(dist, spec, beta)
         if trace_points > 0:
             w = np.abs(dist.atoms)
-            ez = float(np.dot(dist.probs, w))
+            ez = _expectation(dist.probs, w)
             if ez > 0:
+                level = _truncation_levels(w, dist.probs, ez)
                 lams = np.linspace(ez, max(2.0 * ez, dn * 2.0), trace_points)
-                trace = [(float(l), truncation_level(dist, float(l))) for l in lams]
+                trace = [(float(l), level(float(l))) for l in lams]
     return NormReport(
         phi_beta_norm=phi_beta_norm(dist, spec, beta),
         luxemburg=luxemburg_norm(dist, pair),

@@ -1,6 +1,6 @@
 """Independent brute-force and scipy-based oracles.
 
-Everything here deliberately avoids the library's own golden-section and
+Everything here deliberately avoids the library's own root searches and
 bisection routines: dense grids with local zoom, scipy optimizers, and
 closed-form hand solutions only.  Each comparison in the tests therefore
 crosses two independent code paths.

@@ -2,14 +2,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 import divrisk as dr
 from divrisk.errors import UnsupportedDivergenceError
 from divrisk.norms import young_norm_bound
 
-from conftest import random_dist
+from conftest import BUILTIN_NAMES, random_dist
 from _oracles import dual_norm_grid_oracle, luxemburg_oracle, one_variable_norm_oracle
+
+
+def cosh_shift():
+    """A custom spec without a closed conjugate: phi(x) = cosh(x - 1) - 1."""
+    return dr.divergence_from_callables(
+        name="cosh-shift",
+        phi=lambda x: np.cosh(x - 1.0) - 1.0,
+        phi_prime=lambda x: np.sinh(np.asarray(x, float) - 1.0),
+        phi_at_zero=float(np.cosh(1.0) - 1.0),
+        delta2=False,
+    )
+
+
+@st.composite
+def norm_draws(draw, max_n=8):
+    """X with ties at the maximum, probabilities of 1e-12 (before
+    renormalising) and atoms at scales 1e-9 to 1e9."""
+    name = draw(st.sampled_from(BUILTIN_NAMES))
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_t(4, n) * 10.0 ** draw(st.sampled_from([-9, 0, 9]))
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = x.max()
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < draw(st.sampled_from([0.0, 0.5]))] = 1e-12
+    w = np.maximum(w, 1e-12)
+    return name, dr.EmpiricalDistribution(atoms=x, probs=w / w.sum())
 
 
 def young_risk_norm(dist, pair, beta):
@@ -257,16 +285,9 @@ def test_hoelder_inequality(specs):
 
 
 def test_dual_norm_requires_delta2():
-    spec = dr.divergence_from_callables(
-        name="cosh-shift",
-        phi=lambda x: np.cosh(x - 1.0) - 1.0,
-        phi_prime=lambda x: np.sinh(np.asarray(x, float) - 1.0),
-        phi_at_zero=float(np.cosh(1.0) - 1.0),
-        delta2=False,
-    )
     d = dr.from_samples([0.0, 2.0])
     with pytest.raises(UnsupportedDivergenceError):
-        dr.dual_norm(d, spec, 0.5)
+        dr.dual_norm(d, cosh_shift(), 0.5)
 
 
 def test_norm_report(chi2, young_pairs):
@@ -279,3 +300,75 @@ def test_norm_report(chi2, young_pairs):
     if rep.c_lambda_trace is not None:
         for lam, c in rep.c_lambda_trace:
             assert 0.0 <= c <= 1.0
+
+
+def test_young_gap_in_closed_form(specs):
+    # d = max{phi(0), psi(0)}, also without a closed conjugate (cosh-shift)
+    expected = {"kl": math.exp(-1.0), "chi2": 1.0, "power:1.5": 1.0 / 1.5, "power:3": 1.0 / 3.0}
+    for name, d in expected.items():
+        assert dr.young_pair(specs[name]).d == pytest.approx(d, rel=1e-15)
+    assert dr.young_pair(cosh_shift()).d == pytest.approx(math.cosh(1.0) - 1.0, rel=1e-15)
+
+
+def test_specs_keep_the_shape_contract(specs, young_pairs):
+    custom = cosh_shift()
+    all_specs = list(specs.values()) + [p.spec for p in young_pairs.values()] + [custom, dr.young_pair(custom).spec]
+    grid = np.linspace(-1.5, 3.0, 6).reshape(2, 3)
+    for spec in all_specs:
+        for fn in (spec.phi, spec.phi_prime, spec.psi, spec.psi_prime, spec.psi_second):
+            if fn is None:
+                continue
+            assert isinstance(fn(0.0), float), spec.name
+            assert np.shape(fn(grid)) == (2, 3), spec.name
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_norms_are_positively_homogeneous_at_extreme_scales(specs, young_pairs, name):
+    rng = np.random.default_rng(54)
+    d = dr.EmpiricalDistribution(atoms=rng.standard_t(4, 6), probs=rng.dirichlet(np.ones(6)))
+    spec, pair = specs[name], young_pairs[name]
+    norms = {
+        "luxemburg": lambda v: dr.luxemburg_norm(v, pair),
+        "orlicz": lambda v: dr.orlicz_norm(v, pair),
+        "young_norm_bound": lambda v: young_norm_bound(v, pair),
+        "dual_norm": lambda v: dr.dual_norm(v, spec, 0.1),
+    }
+    # the dual norm is a root of its equation here, not E|Z|
+    assert norms["dual_norm"](d) > 1.01 * float(np.dot(d.probs, np.abs(d.atoms)))
+    for label, norm in norms.items():
+        base = norm(d)
+        for c in (1e-12, 1e-6, 1e6, 1e12):
+            scaled = norm(d.map_atoms(lambda x: c * x))
+            assert scaled == pytest.approx(c * base, rel=1e-12), (label, c)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm_draws(max_n=40))
+def test_orlicz_luxemburg_sandwich_on_hard_inputs(young_pairs, problem):
+    name, d = problem
+    lux = dr.luxemburg_norm(d, young_pairs[name])
+    orl = dr.orlicz_norm(d, young_pairs[name])
+    assert lux <= orl * (1.0 + 1e-12), (name, lux, orl)
+    assert orl <= 2.0 * lux * (1.0 + 1e-12), (name, lux, orl)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm_draws(), st.integers(0, 2**32 - 1), st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+def test_hoelder_on_hard_inputs(specs, problem, seed, beta):
+    name, dx = problem
+    rng = np.random.default_rng(seed)
+    dz = dx.map_atoms(lambda x: rng.standard_t(4, x.size) * 10.0 ** rng.choice([-9, 0, 9]))
+    lhs = abs(float(np.dot(dx.probs, dx.atoms * dz.atoms)))
+    rhs = dr.phi_beta_norm(dx, specs[name], beta) * dr.dual_norm(dz, specs[name], beta)
+    assert lhs <= rhs * (1.0 + 1e-9), (name, beta, lhs, rhs)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(norm_draws(max_n=5), st.sampled_from([0.01, 0.1, 0.5]))
+def test_dual_norm_matches_grid_oracle_on_hard_inputs(specs, problem, beta):
+    name, d = problem
+    ours = dr.dual_norm(d, specs[name], beta)
+    oracle = dual_norm_grid_oracle(d.atoms, d.probs, specs[name], beta)
+    # the oracle's lambda grid spans [E|Z|, lam_hi] in 4000 points with
+    # lam_hi < 2 * lambda*, so two of its steps are 1e-3 * lambda*
+    assert abs(ours - oracle) <= 1e-3 * ours, (name, beta, ours, oracle)

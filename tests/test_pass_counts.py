@@ -13,6 +13,13 @@ one psi'' call is the scalar psi''(phi'(1)) of the start.
 
 The core logs the psi' passes it made on its DIVRISK_LOG=debug line; that
 count must equal the wrapped count.
+
+Each norm is one root search; its n-sized passes are the calls of Phi and
+Phi' (Luxemburg, Orlicz), Psi and Psi' (young_norm_bound) or phi (dual norm
+at beta 0.1), bounded at about 1.25x the counts made on the same sample.
+A golden-section search and bisections to the same widths make 48-49, 83,
+83 and 32 there; a root search that falls back to bisection exceeds the
+bounds.
 """
 
 import dataclasses
@@ -23,6 +30,7 @@ import numpy as np
 import pytest
 
 import divrisk as dr
+from divrisk.norms import young_norm_bound
 
 # (spec, beta): (psi' calls, psi'' calls, phi calls) allowed per evaluation
 BOUNDS = {
@@ -42,6 +50,13 @@ BOUNDS = {
 # at n = 1e6, beta 0.5
 LARGE_BOUNDS = {"kl": (7, 2, 9), "chi2": (13, 22, 8)}
 COUNTED = ("psi_prime", "psi_second", "phi")
+# spec: n-sized passes allowed to (luxemburg, orlicz, young_norm_bound, dual_norm)
+NORM_BOUNDS = {
+    "kl": (18, 34, 29, 18),
+    "chi2": (18, 31, 31, 16),
+    "power:1.5": (18, 31, 31, 18),
+    "power:3": (18, 29, 31, 16),
+}
 
 
 def _t4_sample(n):
@@ -106,3 +121,30 @@ def test_debug_line_counts_the_psi_prime_passes(specs, young_pairs, sample, capl
         before = counts["psi_prime"]
         dr.evaluate_primal_batch(np.stack([sample.atoms, -sample.atoms]), sample.probs, _counting(spec, counts), 0.5)
         assert _logged_passes(caplog)[-1] == counts["psi_prime"] - before
+
+
+@pytest.mark.parametrize("name", sorted(NORM_BOUNDS))
+def test_passes_per_norm(specs, young_pairs, sample, name):
+    calls = [0]
+
+    def counting(fn):
+        def counted(x):
+            calls[0] += 1
+            return fn(x)
+
+        return counted
+
+    pair = young_pairs[name]
+    young = dataclasses.replace(pair.spec, phi_prime=counting(pair.spec.phi_prime), psi_prime=counting(pair.spec.psi_prime))
+    pair = dataclasses.replace(pair, Phi=counting(pair.Phi), Psi=counting(pair.Psi), spec=young)
+    spec = dataclasses.replace(specs[name], phi=counting(specs[name].phi))
+    norms = {
+        "luxemburg": lambda: dr.luxemburg_norm(sample, pair),
+        "orlicz": lambda: dr.orlicz_norm(sample, pair),
+        "young_norm_bound": lambda: young_norm_bound(sample, pair),
+        "dual_norm": lambda: dr.dual_norm(sample, spec, 0.1),
+    }
+    for (label, norm), bound in zip(norms.items(), NORM_BOUNDS[name]):
+        calls[0] = 0
+        norm()
+        assert calls[0] <= bound, (label, calls[0])
