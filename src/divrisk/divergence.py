@@ -509,12 +509,11 @@ def young_pair(spec: DivergenceSpec) -> YoungPair:
 
         def Psi(y):
             xs = np.maximum(1.0, np.asarray(base_psi_prime(np.minimum(y, 1e300))))
-            finite = np.isfinite(xs)
-            xs_safe = np.where(finite, xs, 1.0)
-            val = xs_safe * y - np.asarray(Phi_w(xs_safe))
-            # maximiser overflow: Phi and phi coincide out there, so the
-            # conjugates agree and the base closed form applies
-            val = np.where(finite, val, np.asarray(base_psi(y)))
+            val = xs * y - np.asarray(Phi_w(xs))
+            # inf - inf where the maximiser or Phi(maximiser) overflows: Phi
+            # and phi coincide out there, so the conjugates agree and the
+            # base closed form applies
+            val = np.where(np.isnan(val), np.asarray(base_psi(y)), val)
             return np.where(y <= 0, 0.0, val)
 
         def Psi_prime(y):

@@ -163,6 +163,15 @@ def test_young_psi_matches_numeric_conjugate(specs, young_pairs):
         assert np.max(np.abs(numeric - np.asarray(pair.Psi(ys)))) < 1e-8
 
 
+def test_young_psi_of_kl_near_overflow(kl, young_pairs):
+    # right of psi'(y) = 1 the conjugates agree; near y = 705, x*y at the
+    # maximiser x = e^(y - 1) overflows while x*log(x) does not yet
+    ys = np.linspace(700.0, 709.7, 98)
+    Psi = np.asarray(young_pairs["kl"].Psi(ys))
+    assert np.all(np.isfinite(Psi))
+    np.testing.assert_allclose(Psi, np.asarray(kl.psi(ys)), rtol=1e-12)
+
+
 def test_young_spec_runs_as_divergence(young_pairs):
     spec = young_pairs["chi2"].spec
     assert spec.phi(1.0) == 0.0

@@ -58,6 +58,11 @@ NORM_BOUNDS = {
     "power:3": (18, 29, 31, 16),
 }
 
+# spec: risk evaluations allowed per portfolio solve at the defaults, 50 x 4
+PORTFOLIO_BOUNDS = {"kl": 21, "chi2": 21, "power:1.5": 25, "power:3": 25}
+# 2000 x 20, any builtin
+LARGE_PORTFOLIO_BOUND = 25
+
 
 def _t4_sample(n):
     rng = np.random.default_rng(2020)
@@ -148,3 +153,39 @@ def test_passes_per_norm(specs, young_pairs, sample, name):
         calls[0] = 0
         norm()
         assert calls[0] <= bound, (label, calls[0])
+
+
+def _factor_panel(n, m):
+    """n scenarios x m comparably risky assets: a common factor plus t(5) noise."""
+    rng = np.random.default_rng(1)
+    factor = rng.standard_normal(n)
+    losses = rng.uniform(0.8, 1.25, m) * (0.45 * factor[:, None] + rng.standard_t(5, (n, m)))
+    return dr.AssetPanel(losses=losses, probs=np.full(n, 1.0 / n))
+
+
+def _counted_portfolio(monkeypatch, panel, spec):
+    calls = [0]
+    evaluate = dr.portfolio.evaluate_primal
+
+    def counted(*args):
+        calls[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(dr.portfolio, "evaluate_primal", counted)
+    sol = dr.minimize_portfolio_risk(panel, spec, 0.5)
+    assert sol.iterations == calls[0]
+    return sol, calls[0]
+
+
+@pytest.mark.parametrize("name", sorted(PORTFOLIO_BOUNDS))
+def test_evaluations_per_portfolio_solve(specs, monkeypatch, name):
+    sol, calls = _counted_portfolio(monkeypatch, _factor_panel(50, 4), specs[name])
+    assert sol.converged
+    assert calls <= PORTFOLIO_BOUNDS[name], calls
+
+
+@pytest.mark.parametrize("name", sorted(PORTFOLIO_BOUNDS))
+def test_large_portfolio_is_certified_in_few_evaluations(specs, monkeypatch, name):
+    sol, calls = _counted_portfolio(monkeypatch, _factor_panel(2000, 20), specs[name])
+    assert sol.converged
+    assert calls <= LARGE_PORTFOLIO_BOUND, calls
