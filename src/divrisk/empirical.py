@@ -9,6 +9,7 @@ finite sums over quantile steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,32 +21,53 @@ __all__ = ["EmpiricalDistribution", "StepSpectrum", "from_samples", "from_csv"]
 _PROB_TOL = 1e-12
 
 
+def _checked(atoms, probs, ndim: int = 1, axis: int = -1):
+    """atoms and probs as float arrays: atoms with ndim axes, probs a vector
+    aligned with the given axis of atoms.
+
+    Raises DataError unless the atoms are non-empty and finite and probs is a
+    vector of finite, strictly positive probabilities summing to one.  Every
+    entry point that takes atoms and probabilities from a caller checks them
+    here.
+    """
+    atoms = np.asarray(atoms, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    if atoms.ndim != ndim or probs.ndim != 1 or atoms.shape[axis] != probs.size:
+        raise DataError(f"atoms must have {ndim} axes and probs must be a vector aligned with axis {axis}")
+    if atoms.size == 0:
+        raise DataError("empty distribution")
+    if not np.all(np.isfinite(atoms)):
+        raise DataError("atoms must be finite")
+    if np.any(probs <= 0) or not np.all(np.isfinite(probs)):
+        raise DataError("probabilities must be strictly positive and finite")
+    if abs(probs.sum() - 1.0) > _PROB_TOL:
+        raise DataError(f"probabilities sum to {probs.sum()!r}, expected 1")
+    return atoms, probs
+
+
 @dataclass(frozen=True, eq=False)
 class EmpiricalDistribution:
-    """Atoms x_i with strictly positive probabilities p_i summing to one."""
+    """Atoms x_i with strictly positive probabilities p_i summing to one.
+
+    Building one checks its inputs and sorts nothing: the order statistics,
+    which only the quantile side (``quantile``, ``avar``, ``spectral_risk``)
+    reads, are built by their first reader and kept on the instance.
+    """
 
     atoms: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
-        if atoms.ndim != 1 or probs.ndim != 1 or atoms.size != probs.size:
-            raise DataError("atoms and probs must be aligned 1-D vectors")
-        if atoms.size == 0:
-            raise DataError("empty distribution")
-        if not np.all(np.isfinite(atoms)):
-            raise DataError("atoms must be finite")
-        if np.any(probs <= 0) or not np.all(np.isfinite(probs)):
-            raise DataError("probabilities must be strictly positive and finite")
-        if abs(probs.sum() - 1.0) > _PROB_TOL:
-            raise DataError(f"probabilities sum to {probs.sum()!r}, expected 1")
-        order = np.argsort(atoms, kind="stable")
+        atoms, probs = _checked(self.atoms, self.probs)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "sorted_index", order)
-        object.__setattr__(self, "_sorted_atoms", atoms[order])
-        object.__setattr__(self, "_cum", np.cumsum(probs[order]))
+
+    @cached_property
+    def _order(self):
+        """(sorted atoms, cumulative masses along them), by a stable sort: tied
+        atoms keep their input order, so the masses add up in a fixed order."""
+        order = np.argsort(self.atoms, kind="stable")
+        return self.atoms[order], np.cumsum(self.probs[order])
 
     @property
     def n(self) -> int:
@@ -57,11 +79,11 @@ class EmpiricalDistribution:
 
     @property
     def esssup(self) -> float:
-        return float(self._sorted_atoms[-1])
+        return float(self.atoms.max())
 
     @property
     def essinf(self) -> float:
-        return float(self._sorted_atoms[0])
+        return float(self.atoms.min())
 
     def prob_at_esssup(self) -> float:
         """P(X = esssup X); duplicates of the maximal atom accumulate."""
@@ -72,9 +94,10 @@ class EmpiricalDistribution:
         ua = np.asarray(u, dtype=float)
         if np.any((ua < 0) | (ua >= 1)):
             raise InvalidParameterError("quantile level must lie in [0, 1)")
-        idx = np.searchsorted(self._cum, ua, side="right")
+        xs, cum = self._order
+        idx = np.searchsorted(cum, ua, side="right")
         idx = np.minimum(idx, self.n - 1)
-        out = self._sorted_atoms[idx]
+        out = xs[idx]
         return float(out) if np.ndim(u) == 0 else out
 
     def avar(self, alpha: float) -> float:
@@ -85,8 +108,7 @@ class EmpiricalDistribution:
         """
         if not 0 <= alpha < 1:
             raise InvalidParameterError("avar level must lie in [0, 1)")
-        cum = self._cum
-        xs = self._sorted_atoms
+        xs, cum = self._order
         k = int(np.searchsorted(cum, alpha, side="right"))
         k = min(k, self.n - 1)
         tail = xs[k] * (cum[k] - alpha) + float(np.dot(xs[k + 1 :], np.diff(cum)[k:]))
@@ -96,7 +118,7 @@ class EmpiricalDistribution:
         """integral_0^1 sigma(u) F^{-1}(u) du by exact piecewise integration."""
         if not isinstance(sigma, StepSpectrum):
             raise SpectrumError("sigma must be a StepSpectrum")
-        knots = np.union1d(sigma.breaks, np.concatenate(([0.0], self._cum)))
+        knots = np.union1d(sigma.breaks, np.concatenate(([0.0], self._order[1])))
         knots = knots[(knots >= 0.0) & (knots <= 1.0)]
         left, right = knots[:-1], knots[1:]
         widths = right - left
@@ -164,8 +186,6 @@ def from_samples(values: Sequence[float]) -> EmpiricalDistribution:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DataError("need a non-empty 1-D sample vector")
-    if not np.all(np.isfinite(arr)):
-        raise DataError("samples must be finite")
     return EmpiricalDistribution(atoms=arr, probs=np.full(arr.size, 1.0 / arr.size))
 
 

@@ -29,8 +29,8 @@ import numpy as np
 from .divergence import DivergenceSpec, YoungPair
 from .dual import _expectation
 from .empirical import EmpiricalDistribution
-from .errors import InvalidParameterError, NumericsError, UnsupportedDivergenceError
-from .risk import _check_beta, evaluate_primal
+from .errors import InvalidParameterError, UnsupportedDivergenceError
+from .risk import _check_beta, _log, _root_in_log, evaluate_primal
 
 __all__ = [
     "NormReport",
@@ -43,8 +43,6 @@ __all__ = [
     "norm_report",
 ]
 
-_EPS = float(np.finfo(float).eps)
-
 
 @dataclass(frozen=True)
 class NormReport:
@@ -53,67 +51,6 @@ class NormReport:
     orlicz: float
     dual_norm: Optional[float]
     c_lambda_trace: Optional[List[Tuple[float, float]]] = None
-
-
-def _log(v: float) -> float:
-    """log of a mean >= 0; NaN, from inf - inf where F overflows, is +inf."""
-    return math.log(v) if v > 0.0 else (-math.inf if v <= 0.0 else math.inf)
-
-
-def _root_in_log(g, s: float, gs: float, width: float = 0.0) -> Tuple[float, float]:
-    """Bracket and solve g(s) = 0 for a non-increasing g, from s with g(s) = gs.
-
-    Steps outward by doubling steps until g changes sign, then runs ITP
-    (Oliveira & Takahashi, ACM TOMS 2020): an inverse quadratic (else regula
-    falsi) point, truncated towards the midpoint by (b - a)**2 / (b0 - a0)
-    and projected so that no more steps are taken than bisection's plus one,
-    also where g jumps (the Amemiya slope under kl, at every atom).  Stops at
-    a width of ``width`` or a few ulps of s; returns (a, b), g(a) > 0 >= g(b).
-    """
-    right = gs > 0.0
-    x, gx = s, gs
-    step = 1.0
-    for _ in range(12):  # steps 1, 2, ..., 2**11 in s cover every float scale
-        y = x + step if right else x - step
-        gy = g(y)
-        if (gy > 0.0) != right:
-            break
-        x, gx = y, gy
-        step *= 2.0
-    else:
-        raise NumericsError("norm root bracket expansion exhausted")
-    (a, ga), (b, gb) = ((x, gx), (y, gy)) if right else ((y, gy), (x, gx))
-    c, gc = x, math.nan
-
-    tol = max(width, 2.0 * _EPS * max(1.0, abs(a), abs(b)))
-    n_max = math.ceil(math.log2((b - a) / tol)) + 1
-    k1 = 1.0 / (b - a)
-    for j in range(n_max):
-        w = b - a
-        if w <= tol:
-            break
-        mid = a + 0.5 * w
-        x = mid
-        if math.isfinite(ga) and math.isfinite(gb):
-            xf = a + w * ga / (ga - gb)
-            if math.isfinite(gc) and gc != ga and gc != gb:
-                q = (a * gb * gc / ((ga - gb) * (ga - gc)) + b * ga * gc / ((gb - ga) * (gb - gc))
-                     + c * ga * gb / ((gc - ga) * (gc - gb)))
-                if a < q < b:
-                    xf = q
-            sigma = math.copysign(1.0, mid - xf)
-            delta = max(k1 * w * w, 0.5 * tol)
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-            r = tol * 2.0 ** (n_max - j - 1) - 0.5 * w
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
-            if not a < x < b:
-                x = mid
-        gx = g(x)
-        if gx > 0.0:
-            c, gc, a, ga = a, ga, x, gx
-        else:
-            c, gc, b, gb = b, gb, x, gx
-    return a, b
 
 
 def phi_beta_norm(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> float:

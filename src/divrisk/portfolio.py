@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .divergence import DivergenceSpec
-from .empirical import EmpiricalDistribution
+from .empirical import EmpiricalDistribution, _checked
 from .errors import DataError, InvalidParameterError, OracleSizeError
 from .risk import _check_beta, evaluate_primal, evaluate_primal_batch
 
@@ -48,16 +48,7 @@ class AssetPanel:
     probs: np.ndarray
 
     def __post_init__(self):
-        losses = np.atleast_2d(np.asarray(self.losses, dtype=float))
-        probs = np.asarray(self.probs, dtype=float)
-        if losses.ndim != 2 or losses.size == 0:
-            raise DataError("losses must be a non-empty (scenarios, assets) matrix")
-        if not np.all(np.isfinite(losses)):
-            raise DataError("losses must be finite")
-        if probs.ndim != 1 or probs.size != losses.shape[0]:
-            raise DataError("probs must align with the scenario axis of losses")
-        if np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-12:
-            raise DataError("scenario probabilities must be positive and sum to 1")
+        losses, probs = _checked(np.atleast_2d(self.losses), self.probs, ndim=2, axis=0)
         object.__setattr__(self, "losses", losses)
         object.__setattr__(self, "probs", probs)
 

@@ -63,7 +63,7 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .divergence import DivergenceSpec
-from .empirical import EmpiricalDistribution
+from .empirical import EmpiricalDistribution, _checked
 from .errors import InvalidParameterError, NumericsError
 
 __all__ = [
@@ -80,7 +80,7 @@ _OUTER_MAX_ITERS = 200   # probes in t allowed per evaluation
 _B_RTOL = 1e-12          # B(t) at the end of the search is within this of beta, relatively
 _WIDEN_ITERS = 64        # doublings allowed for a failed inner bracket end
 _INNER_MAX_ITERS = 100   # Newton/bisection steps allowed per inner solve
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -153,12 +153,42 @@ def _closed_kl(spec) -> bool:
     return spec.name == "kl" and spec.has_closed_conjugate
 
 
-def _solve_inner_nu(y, probs, spec, t, nu0=None, passes=None):
+class _RowFacts(NamedTuple):
+    """What the core reads of each row of atoms (m, n) besides the atoms
+    themselves, computed once per :func:`_characterize` call by
+    :func:`_row_facts` and handed down the layers.
+    """
+
+    lo: np.ndarray      # (m,) row minimum
+    hi: np.ndarray      # (m,) row maximum
+    top: np.ndarray     # (m, n) mask of the atoms at the row maximum
+    p_top: np.ndarray   # (m,) mass at the row maximum
+    c: float            # phi'(1)
+    c_top: np.ndarray   # (m,) phi'(1/p_top); may be inf
+
+    def take(self, idx) -> "_RowFacts":
+        """The facts of the rows idx."""
+        return _RowFacts(*(f[idx] if isinstance(f, np.ndarray) else f for f in self))
+
+
+def _row_facts(x, probs, spec) -> _RowFacts:
+    """The :class:`_RowFacts` of the rows of x (m, n)."""
+    hi = x.max(axis=1)
+    top = x == hi[:, None]
+    p_top = _expect(top, probs)
+    with np.errstate(over="ignore"):
+        c_top = np.asarray(spec.phi_prime(1.0 / p_top))
+    return _RowFacts(x.min(axis=1), hi, top, p_top, float(spec.phi_prime(1.0)), c_top)
+
+
+def _solve_inner_nu(y, probs, spec, t, facts, nu0=None, passes=None):
     """Solve E psi'((y - nu)/t) = 1 for nu, row-wise; returns (nu, z, psi'(z)).
 
-    y: (m, n) atoms, t: (m,) positive, nu0: optional (m,) starting shifts,
-    typically those of the previous probe in t; passes: a :class:`_Passes`
-    that counts the psi' passes made.
+    y: (m, n) atoms, t: (m,) positive, facts: the :class:`_RowFacts` of y,
+    which give the bracket: the solve computes no row minimum, maximum or
+    top mass of its own, however often the outer search calls it; nu0:
+    optional (m,) starting shifts, typically those of the previous probe in
+    t; passes: a :class:`_Passes` that counts the psi' passes made.
 
     For the builtin kl spec, psi' = exp(. - 1) and the equation solves in
     closed form: nu = max y + t log E psi'((y - max y)/t), the shift of the
@@ -190,25 +220,22 @@ def _solve_inner_nu(y, probs, spec, t, nu0=None, passes=None):
     passes = _Passes() if passes is None else passes
     m = y.shape[0]
     tcol = t[:, None]
-    row_max = y.max(axis=1)
     if _closed_kl(spec):
-        z = y - row_max[:, None]
+        z = y - facts.hi[:, None]
         z /= tcol
         w = np.asarray(spec.psi_prime(z))
         passes.psi_prime += 1
         mass = _expect(w, probs)
         z -= np.log(mass)[:, None]
         w /= mass[:, None]
-        return row_max + t * np.log(mass), z, w
+        return facts.hi + t * np.log(mass), z, w
 
-    row_min = y.min(axis=1)
-    c = float(spec.phi_prime(1.0))
+    c = facts.c
     # psi'(z) <= 1/p_top at the maximal atoms gives a second left end; it
     # may overflow to -inf, leaving the first
-    p_top = _expect(y == row_max[:, None], probs)
     with np.errstate(over="ignore"):
-        left = np.maximum(row_min - c * t, row_max - t * np.asarray(spec.phi_prime(1.0 / p_top)))
-    right = row_max - c * t
+        left = np.maximum(facts.lo - c * t, facts.hi - t * facts.c_top)
+    right = facts.hi - c * t
     start = right if nu0 is None else np.clip(nu0, left, right)
     # round-off of a sum of n terms near one: f within it of zero is a root
     f_tol = 4.0 * _EPS * math.sqrt(y.shape[1])
@@ -220,7 +247,7 @@ def _solve_inner_nu(y, probs, spec, t, nu0=None, passes=None):
         passes.psi_prime += 1
         return _expect(w, probs) - 1.0, z, w
 
-    x_floor = np.maximum(np.abs(row_min), np.abs(row_max))
+    x_floor = np.maximum(np.abs(facts.lo), np.abs(facts.hi))
     nu, f, z, w, lo, hi = _bracketed_shift(at_shift, probs, spec, c, t, x_floor, f_tol, left, right, start)
     if np.all(np.abs(f) <= f_tol):
         return nu, z, w
@@ -378,18 +405,16 @@ def _extreme_divergence(spec, p_top, p_rest):
 
 
 def _regime(x, probs, spec, beta):
-    """Row-wise regime of the loss rows x (m, n): (const, top, attained, B(0+)).
+    """Row-wise facts and regime of the loss rows x (m, n): (facts, const,
+    attained, B(0+)), with facts the :class:`_RowFacts` of x.
 
-    ``top`` marks the atoms at each row's maximum.  B(t) decreases from
-    B(0+) towards 0, so the characterizing equations have a root exactly
-    when beta < B(0+); constant rows never have one.
+    B(t) decreases from B(0+) towards 0, so the characterizing equations
+    have a root exactly when beta < B(0+); constant rows never have one.
     """
-    lo = x.min(axis=1)
-    hi = x.max(axis=1)
-    const = hi - lo <= 1e-15 * np.maximum(1.0, np.abs(lo))
-    top = x == hi[:, None]
-    level = _extreme_divergence(spec, _expect(top, probs), _expect(~top, probs))
-    return const, top, ~const & (beta < level), level
+    facts = _row_facts(x, probs, spec)
+    const = facts.hi - facts.lo <= 1e-15 * np.maximum(1.0, np.abs(facts.lo))
+    level = _extreme_divergence(spec, facts.p_top, _expect(~facts.top, probs))
+    return facts, const, ~const & (beta < level), level
 
 
 def _newton_step(s, h, b, slope, target, level, t_kink):
@@ -445,11 +470,12 @@ def _kl_two_point_start(mean, level, beta):
         return np.where((k > 0) & (b1 >= beta), np.log(-mean / (1.0 - p[:, 0]) / root), np.nan)
 
 
-def _root_in_log_t(y, probs, spec, beta, attained, level, passes):
+def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
     """Solve B(t) = E phi(psi'((y - nu(t))/t)) = beta in s = log t, row-wise.
 
     y: (m, n) rows normalised to [-1, 0]; attained: (m,) regime of each row;
-    level: (m,) B(0+).  B is non-increasing in t.  On a row with a root the
+    level: (m,) B(0+); facts: the :class:`_RowFacts` of y.  B is
+    non-increasing in t.  On a row with a root the
     search aims below beta, at beta*(1 - _B_RTOL/2), and accepts a probe
     within _B_RTOL*beta/4 of that target: beta - B >= _B_RTOL*beta/4 is then
     a margin over round-off that keeps the density feasible.  On a row
@@ -513,7 +539,7 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, passes):
     newton, t_kink, mean = spec.psi_second is not None, None, None
     kl = _closed_kl(spec)
     if newton:
-        c = float(spec.phi_prime(1.0))
+        c = facts.c
         mean = _expect(y, probs)
         dev = y - mean[:, None]
         var = _expect(np.square(dev, out=dev), probs)
@@ -526,10 +552,8 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, passes):
         if math.isfinite(edge):
             # psi' vanishes below phi'(0): up to t_kink the maximal atoms alone
             # carry E psi' = 1, so there B = B(0+) > target
-            top = y == 0.0
-            gap = -np.where(top, -np.inf, y).max(axis=1)
-            t_kink = gap / (np.asarray(spec.phi_prime(1.0 / _expect(top, probs))) - edge)
-            del top
+            gap = -np.where(facts.top, -np.inf, y).max(axis=1)
+            t_kink = gap / (facts.c_top - edge)
             with np.errstate(divide="ignore"):
                 s_kink = np.log(t_kink)
             s_lo = np.where(attained & (s_kink > s_floor), s_kink, -np.inf)
@@ -543,16 +567,18 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, passes):
     for probes in range(1, _OUTER_MAX_ITERS + 1):
         act = ~done
         idx = np.flatnonzero(act)
-        rows = y if idx.size == m else y[idx]
+        y_act, facts_act = (y, facts) if idx.size == m else (y[idx], facts.take(idx))
         t = np.exp(s[idx])
         if nu is None:  # the first probe covers every row
             # with psi'', from the large-t expansion z ~ c + (y - E y)/t
-            nu, z, w = _solve_inner_nu(rows, probs, spec, t, None if mean is None else mean - c * t, passes)
+            nu, z, w = _solve_inner_nu(y_act, probs, spec, t, facts_act,
+                                       None if mean is None else mean - c * t, passes)
         else:
             # the tangent prediction; without psi'' dnu is 0
             with np.errstate(invalid="ignore"):
                 nu0 = nu[idx] + (t - np.exp(s_prev[idx])) * dnu[idx]
-            nu[idx], z, w = _solve_inner_nu(rows, probs, spec, t, np.where(np.isfinite(nu0), nu0, nu[idx]), passes)
+            nu[idx], z, w = _solve_inner_nu(y_act, probs, spec, t, facts_act,
+                                            np.where(np.isfinite(nu0), nu0, nu[idx]), passes)
         mass = _expect(w, probs)
         # z and w stay as they are, since the probe may be the one the search
         # returns; spare is an n-sized array of the probe free for reuse
@@ -670,8 +696,8 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     again at t*.
     """
     m = x.shape[0]
-    const, top, attained, level = _regime(x, probs, spec, beta)
-    lo, hi = x.min(axis=1), x.max(axis=1)
+    facts, const, attained, level = _regime(x, probs, spec, beta)
+    lo, hi = facts.lo, facts.hi
     spread = hi - lo
     value = np.where(const, lo, hi)
     t, mu, residuals = np.full(m, np.nan), np.full(m, np.nan), np.full((m, 2), np.nan)
@@ -679,8 +705,11 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     probes, passes = 0, _Passes()
     if idx.size:
         y = (x[idx] - hi[idx, None]) / spread[idx, None]
+        # fl(lo - hi) = -fl(hi - lo), so each row of y runs from -1 to 0
+        # exactly, with its maximal atoms those of x
+        y_facts = facts.take(idx)._replace(lo=np.full(idx.size, -1.0), hi=np.zeros(idx.size))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            t_n, nu_n, z, w, probes = _root_in_log_t(y, probs, spec, beta, attained[idx], level[idx], passes)
+            t_n, nu_n, z, w, probes = _root_in_log_t(y, probs, spec, beta, attained[idx], level[idx], y_facts, passes)
             del y
             q = t_n * beta + nu_n + t_n * _expect(spec.psi(z), probs)
             residuals[idx, 0] = 1.0 - _expect(w, probs)
@@ -693,7 +722,7 @@ def _characterize(x, probs, spec, beta) -> _Solution:
         mu[idx] = (hi[idx] + spread[idx] * nu_n) / t[idx]
     # Z*: the extreme density, 1 on constant rows, and psi' at the end of
     # the search on rows with a root (which are all among the rows searched)
-    density = top / _expect(top, probs)[:, None]
+    density = facts.top / facts.p_top[:, None]
     density[const] = 1.0
     if attained.any():
         density[attained] = w[root]
@@ -707,15 +736,13 @@ def _characterize(x, probs, spec, beta) -> _Solution:
 def evaluate_primal_batch(atoms, probs, spec: DivergenceSpec, beta) -> np.ndarray:
     """rho for many loss vectors sharing one probability vector.
 
-    atoms: (m, n) matrix, one loss vector per row; probs: (n,).  Returns the
-    (m,) vector of risk values.  This is the same solver as evaluate_primal,
-    vectorised across rows.
+    atoms: (m, n) matrix, one loss vector per row; probs: (n,), strictly
+    positive and summing to one, else DataError.  Returns the (m,) vector of
+    risk values.  This is the same solver as evaluate_primal, vectorised
+    across rows.
     """
     beta = _check_beta(beta)
-    y = np.asarray(atoms, dtype=float)
-    if y.ndim != 2:
-        raise InvalidParameterError("atoms must be a (m, n) matrix")
-    return _characterize(y, np.asarray(probs, dtype=float), spec, beta).value
+    return _characterize(*_checked(atoms, probs, ndim=2), spec, beta).value
 
 
 def evaluate_primal(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> RiskEvaluation:
@@ -757,28 +784,91 @@ def solve_characterizing_equations(
     return float(sol.t[0]), float(sol.mu[0])
 
 
+def _log(v: float) -> float:
+    """log of a mean >= 0; NaN, from inf - inf where F overflows, is +inf."""
+    return math.log(v) if v > 0.0 else (-math.inf if v <= 0.0 else math.inf)
+
+
+def _root_in_log(g, s: float, gs: float, width: float = 0.0) -> Tuple[float, float]:
+    """Bracket and solve g(s) = 0 for a non-increasing g, from s with g(s) = gs.
+
+    Steps outward by doubling steps until g changes sign, then runs ITP
+    (Oliveira & Takahashi, ACM TOMS 2020): an inverse quadratic (else regula
+    falsi) point, truncated towards the midpoint by (b - a)**2 / (b0 - a0)
+    and projected so that no more steps are taken than bisection's plus one,
+    also where g jumps (the Amemiya slope under kl, at every atom).  Stops at
+    a width of ``width`` or a few ulps of s; returns (a, b), g(a) > 0 >= g(b).
+    """
+    right = gs > 0.0
+    x, gx = s, gs
+    step = 1.0
+    for _ in range(12):  # steps 1, 2, ..., 2**11 in s cover every float scale
+        y = x + step if right else x - step
+        gy = g(y)
+        if (gy > 0.0) != right:
+            break
+        x, gx = y, gy
+        step *= 2.0
+    else:
+        raise NumericsError("root bracket expansion exhausted")
+    (a, ga), (b, gb) = ((x, gx), (y, gy)) if right else ((y, gy), (x, gx))
+    c, gc = x, math.nan
+
+    tol = max(width, 2.0 * _EPS * max(1.0, abs(a), abs(b)))
+    n_max = math.ceil(math.log2((b - a) / tol)) + 1
+    k1 = 1.0 / (b - a)
+    for j in range(n_max):
+        w = b - a
+        if w <= tol:
+            break
+        mid = a + 0.5 * w
+        x = mid
+        if math.isfinite(ga) and math.isfinite(gb):
+            xf = a + w * ga / (ga - gb)
+            if math.isfinite(gc) and gc != ga and gc != gb:
+                q = (a * gb * gc / ((ga - gb) * (ga - gc)) + b * ga * gc / ((gb - ga) * (gb - gc))
+                     + c * ga * gb / ((gc - ga) * (gc - gb)))
+                if a < q < b:
+                    xf = q
+            sigma = math.copysign(1.0, mid - xf)
+            delta = max(k1 * w * w, 0.5 * tol)
+            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+            r = tol * 2.0 ** (n_max - j - 1) - 0.5 * w
+            x = xt if abs(xt - mid) <= r else mid - sigma * r
+            if not a < x < b:
+                x = mid
+        gx = g(x)
+        if gx > 0.0:
+            c, gc, a, ga = a, ga, x, gx
+        else:
+            c, gc, b, gb = b, gb, x, gx
+    return a, b
+
+
 def alpha_bar(spec: DivergenceSpec, beta) -> float:
     """Largest alpha in [0, 1) with phi(0)*alpha + phi(1/(1-alpha))*(1-alpha) <= beta.
 
-    The left side is non-decreasing in alpha and explodes as alpha -> 1 by
-    superlinear growth, so bisection on the feasibility predicate applies.
+    The left side, the load, is non-decreasing in alpha and explodes as
+    alpha -> 1 by superlinear growth.  alpha is capped at 1 - 1e-15; below
+    the cap it is the root of log beta - log load in s = log(-log(1 - alpha)),
+    with 1 - alpha = exp(-e^s) and alpha = -expm1(-e^s) both to full relative
+    precision, returned at the bracket end where the load is below beta.
     The convention 0*alpha = 0 is used when phi(0) = 0.
     """
     beta = _check_beta(beta)
+    cap = 1.0 - 1e-15
+    if _extreme_divergence(spec, 1.0 - cap, cap) <= beta:
+        return cap
 
-    def load(alpha: float) -> float:
-        return float(_extreme_divergence(spec, 1.0 - alpha, alpha))
+    s_cap = math.log(-math.log1p(-cap))
 
-    lo, hi = 0.0, 1.0 - 1e-15
-    if load(hi) <= beta:
-        return hi
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if load(mid) <= beta:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    def g(s):  # the load at the cap exceeds beta, and so beyond it
+        u = math.exp(min(s, s_cap))
+        return math.log(beta) - _log(float(_extreme_divergence(spec, math.exp(-u), -math.expm1(-u))))
+
+    s = min(math.log(beta), s_cap)
+    a, _ = _root_in_log(g, s, g(s))
+    return -math.expm1(-math.exp(a))
 
 
 def is_attained(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> bool:

@@ -110,32 +110,47 @@ def one_variable_norm_oracle(w, p, fn, npts=3000):
     return val
 
 
-def dual_norm_grid_oracle(w, p, spec, beta, n_lam=4000, n_c=2000):
-    """2-D (lambda, c) brute force for the dual-norm characterization."""
+def _unit_mean_levels(scaled, p):
+    """Per row of scaled (L, n), the c in [min, 1] with E max(c, scaled) = 1.
+
+    E max(c, scaled) is piecewise linear in c with knots at the atoms, so it
+    is evaluated at every knot and at 1, and solved linearly on the first
+    segment that reaches 1 (at the latest the one ending at 1, whatever the
+    round-off of the sum of p)."""
+    knots = np.sort(np.concatenate([scaled, np.ones((scaled.shape[0], 1))], axis=1), axis=1)
+    means = np.maximum(knots[:, :, None], scaled[:, None, :]) @ p
+    reach = (means >= 1.0) | (knots >= 1.0)
+    k = np.clip(np.argmax(reach, axis=1), 1, knots.shape[1] - 1)
+    rows = np.arange(k.size)
+    c0, c1, m0, m1 = knots[rows, k - 1], knots[rows, k], means[rows, k - 1], means[rows, k]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = c0 + (1.0 - m0) * (c1 - c0) / (m1 - m0)
+    return np.where(m1 > m0, np.clip(c, c0, c1), c1)
+
+
+def dual_norm_grid_oracle(w, p, spec, beta, n_lam=4000):
+    """Grid brute force for the dual-norm characterization: the first lambda
+    of a 4000-point grid whose truncated density max{c, |Z|/lambda} meets
+    E phi <= beta, with the level c solved exactly at every lambda."""
     w = np.abs(np.asarray(w, float))
     p = np.asarray(p, float)
     ez = float(np.dot(p, w))
     if float(np.dot(p, np.asarray(spec.phi(w / ez)))) <= beta:
         return ez
 
-    def c_on_grid(lam):
-        scaled = w / lam
-        cs = np.linspace(scaled.min(), 1.0, n_c)
-        means = np.maximum(cs[:, None], scaled[None, :]) @ p
-        return cs[int(np.argmin(np.abs(means - 1.0)))]
+    def feasible(lams):
+        scaled = w[None, :] / lams[:, None]
+        c = _unit_mean_levels(scaled, p)
+        return np.asarray(spec.phi(np.maximum(c[:, None], scaled))) @ p <= beta
 
     lam_hi = ez
     for _ in range(100):
         lam_hi *= 2.0
-        c = c_on_grid(lam_hi)
-        if float(np.dot(p, np.asarray(spec.phi(np.maximum(c, w / lam_hi))))) <= beta:
+        if feasible(np.array([lam_hi]))[0]:
             break
     lams = np.linspace(ez, lam_hi, n_lam)
-    for lam in lams:
-        c = c_on_grid(lam)
-        if float(np.dot(p, np.asarray(spec.phi(np.maximum(c, w / lam))))) <= beta:
-            return float(lam)
-    return float(lam_hi)
+    ok = feasible(lams)
+    return float(lams[np.argmax(ok)]) if ok.any() else float(lam_hi)
 
 
 def random_feasible_density(rng, dist, spec, beta):

@@ -35,6 +35,29 @@ def test_distribution_validation():
         dr.EmpiricalDistribution(atoms=np.array([1.0, 2.0]), probs=np.array([1.0, 0.0]))
 
 
+def test_order_is_built_by_its_first_reader_with_a_stable_sort():
+    # tied atoms with 1e-12 probabilities: the cumulative masses depend on the
+    # order of the ties, which a stable sort keeps as given
+    rng = np.random.default_rng(8)
+    n = 500
+    atoms = np.round(rng.standard_normal(n), 1)
+    w = rng.uniform(0.0, 1.0, n)
+    w[rng.random(n) < 0.5] = 1e-12
+    d = dr.EmpiricalDistribution(atoms=atoms, probs=w / w.sum())
+    assert "_order" not in vars(d)  # building sorts nothing
+    order = sorted(range(n), key=lambda i: atoms[i])  # Python's sort is stable
+    ref = dr.EmpiricalDistribution(atoms=d.atoms[order], probs=d.probs[order])
+    us = np.concatenate([np.linspace(0.0, 1.0, 101, endpoint=False), ref._order[1][:-1]])
+    assert np.array_equal(d.quantile(us), ref.quantile(us))
+    cached = d._order
+    for alpha in (0.0, 0.3, 0.5, 0.97, float(ref._order[1][n // 2])):
+        assert d.avar(alpha) == ref.avar(alpha)
+    edges = np.linspace(0.0, 1.0, 9)
+    sigma = dr.StepSpectrum(breaks=edges, values=edges[:-1] + edges[1:])
+    assert d.spectral_risk(sigma) == ref.spectral_risk(sigma)
+    assert d._order is cached  # one sort serves every reader
+
+
 def test_quantile_examples():
     d = dr.from_samples([1, 2, 3, 4])
     assert d.quantile(0.6) == 3.0

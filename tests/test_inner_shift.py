@@ -1,9 +1,12 @@
 """Property tests for the inner shift solve E psi'((y - nu)/t) = 1.
 
-Inputs follow what the evaluator hands the solver: atoms affinely normalised
-to [0, 1], t from deep in the small-t regime up to large t.  The draws put
-ties at the maximum and probabilities of 1e-12 (before renormalising), with
-n up to 1e4.
+The evaluator hands the solver rows affinely normalised to [-1, 0], with t
+from deep in the small-t regime up to large t.  Most draws here lie in
+[0, 1], a translate of those rows, which moves the shift by the same
+amount; the kl draws add offsets up to 1e9.  The draws put ties at the
+maximum and probabilities of 1e-12 (before renormalising), with n up to
+1e4.  The row facts the solver reads come from the core's own
+``_row_facts``, as the evaluator computes them.
 """
 
 import dataclasses
@@ -17,12 +20,16 @@ from hypothesis import strategies as st
 import divrisk as dr
 from divrisk.divergence import validate_divergence
 from divrisk.errors import InvalidParameterError
-from divrisk.risk import _WIDEN_ITERS, _Passes, _solve_inner_nu
+from divrisk.risk import _WIDEN_ITERS, _Passes, _row_facts, _solve_inner_nu
 
 from _oracles import inner_shift_oracle
 
 SPEC_NAMES = ("kl", "chi2", "power:1.5", "power:3", "young(kl)", "cosh-shift")
 EPS = np.finfo(float).eps
+
+
+def _solve(y, probs, spec, t, nu0=None, passes=None):
+    return _solve_inner_nu(y, probs, spec, t, _row_facts(y, probs, spec), nu0, passes)
 
 
 def _cosh_spec():
@@ -69,7 +76,7 @@ def inner_problems(draw):
 def test_inner_shift_in_bracket_and_at_brentq_residual(inner_specs, problem):
     name, y, probs, t = problem
     spec = inner_specs[name]
-    nu = float(_solve_inner_nu(y[None, :], probs, spec, np.array([t]))[0][0])
+    nu = float(_solve(y[None, :], probs, spec, np.array([t]))[0][0])
 
     c = float(spec.phi_prime(1.0))
     # an end may move by round-off in the probabilities: t times a few ulps
@@ -89,8 +96,8 @@ def test_inner_shift_rows_match_single_rows(specs):
     probs = rng.dirichlet(np.ones(40))
     t = np.geomspace(1e-6, 1e2, 6)
     for spec in specs.values():
-        rows = _solve_inner_nu(y, probs, spec, t)[0]
-        single = [_solve_inner_nu(y[i : i + 1], probs, spec, t[i : i + 1])[0][0] for i in range(6)]
+        rows = _solve(y, probs, spec, t)[0]
+        single = [_solve(y[i : i + 1], probs, spec, t[i : i + 1])[0][0] for i in range(6)]
         assert np.allclose(rows, single, rtol=0.0, atol=1e-12 * (1.0 + t))
 
 
@@ -100,9 +107,9 @@ def test_warm_start_reaches_the_same_root(specs):
     probs = rng.dirichlet(np.ones(500))
     t = np.array([0.05])
     for spec in specs.values():
-        cold = _solve_inner_nu(y, probs, spec, t)[0]
+        cold = _solve(y, probs, spec, t)[0]
         for nu0 in (-1e3, 0.3, 1e3):
-            warm = _solve_inner_nu(y, probs, spec, t, np.array([nu0]))[0]
+            warm = _solve(y, probs, spec, t, np.array([nu0]))[0]
             assert warm == pytest.approx(cold, abs=1e-12)
 
 
@@ -150,7 +157,7 @@ def test_far_end_with_the_wrong_sign_is_widened(specs, problem):
         return float(np.einsum("ij,j->i", np.asarray(spec.psi_prime((y[None, :] - nu) / t)), probs)[0]) - 1.0
 
     left, right = -1.0, 0.0  # [min y - c t, max y - c t] with c = phi'(1) = 0
-    nu, _, w = _solve_inner_nu(y[None, :], probs, spec, np.array([t]), np.array([left]) if from_left else None)
+    nu, _, w = _solve(y[None, :], probs, spec, np.array([t]), np.array([left]) if from_left else None)
     nu = float(nu[0])
     resid = float(np.einsum("ij,j->i", w, probs)[0]) - 1.0
     # beyond f_tol only where no float shift does better
@@ -190,7 +197,7 @@ def kl_shift_problems(draw):
 def test_kl_closed_form_shift_matches_brentq(kl, problem):
     y, probs, t = problem
     passes = _Passes()
-    nu, z, w = _solve_inner_nu(y[None, :], probs, kl, np.array([t]), None, passes)
+    nu, z, w = _solve(y[None, :], probs, kl, np.array([t]), None, passes)
     assert passes.psi_prime == 1
     # z and psi'(z) carry no error from nu, whatever the offset: E psi'(z)
     # misses 1 only by the round-off of two sums of n terms, E e^y and E[e^y/E e^y]

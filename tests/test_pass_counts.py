@@ -14,6 +14,12 @@ one psi'' call is the scalar psi''(phi'(1)) of the start.
 The core logs the psi' passes it made on its DIVRISK_LOG=debug line; that
 count must equal the wrapped count.
 
+The facts the search reads of each row (its minimum, maximum and top mass)
+are computed once per evaluation, not once per probe: the ndarray min and
+max reductions of one evaluate_primal, counted with sys.setprofile, are
+bounded independently of beta and so of the probe count.  Building an
+EmpiricalDistribution sorts nothing; the quantile side sorts once.
+
 Each norm is one root search; its n-sized passes are the calls of Phi and
 Phi' (Luxemburg, Orlicz), Psi and Psi' (young_norm_bound) or phi (dual norm
 at beta 0.1), bounded at about 1.25x the counts made on the same sample.
@@ -25,6 +31,7 @@ bounds.
 import dataclasses
 import logging
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +65,10 @@ NORM_BOUNDS = {
     "power:3": (18, 29, 31, 16),
 }
 
+# spec: ndarray min and max reductions allowed per evaluation, at every beta
+# (the row minimum and maximum, and for specs whose psi' vanishes below
+# phi'(0) the largest atom below the maximum, which bounds t from below)
+MINMAX_BOUNDS = {"kl": 3, "chi2": 4, "power:1.5": 4, "power:3": 4}
 # spec: risk evaluations allowed per portfolio solve at the defaults, 50 x 4
 PORTFOLIO_BOUNDS = {"kl": 21, "chi2": 21, "power:1.5": 25, "power:3": 25}
 # 2000 x 20, any builtin
@@ -103,6 +114,38 @@ def test_calls_per_evaluation_at_a_million_atoms(specs, name):
     assert dr.evaluate_primal(_t4_sample(1_000_000), _counting(specs[name], counts), 0.5).attained
     for k, bound in zip(COUNTED, LARGE_BOUNDS[name]):
         assert counts[k] <= bound, (k, counts)
+
+
+def _array_method_calls(fn, names):
+    """Calls of the ndarray methods ``names`` that fn() makes, seen by sys.setprofile."""
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "c_call" and isinstance(getattr(arg, "__self__", None), np.ndarray) and arg.__name__ in names:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+@pytest.mark.parametrize("name, beta", sorted(BOUNDS))
+def test_row_reductions_per_evaluation(specs, sample, name, beta):
+    calls = _array_method_calls(lambda: dr.evaluate_primal(sample, specs[name], beta), ("min", "max"))
+    assert calls <= MINMAX_BOUNDS[name], calls
+
+
+def test_distribution_sorts_on_first_quantile_read(sample):
+    def build():
+        return dr.EmpiricalDistribution(atoms=sample.atoms, probs=sample.probs)
+
+    assert _array_method_calls(build, ("argsort",)) == 0
+    d = build()
+    sigma = dr.StepSpectrum.avar_spectrum(0.9)
+    assert _array_method_calls(lambda: (d.quantile(0.5), d.avar(0.9), d.spectral_risk(sigma)), ("argsort",)) == 1
 
 
 def _logged_passes(caplog):

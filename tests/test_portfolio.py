@@ -210,6 +210,10 @@ def test_panel_validation():
         dr.AssetPanel(losses=[[1.0, 2.0]], probs=[0.5, 0.5])
     with pytest.raises(DataError):
         dr.AssetPanel(losses=[[np.inf, 2.0]], probs=[1.0])
+    losses = [[1.0, 2.0], [0.0, 1.0], [2.0, -1.0]]
+    for probs in ([np.nan, 0.5, 0.5], [0.5, 0.5, 0.0], [0.4, 0.4, 0.4]):
+        with pytest.raises(DataError):
+            dr.AssetPanel(losses=losses, probs=probs)
     with pytest.raises(OracleSizeError):
         dr.grid_oracle_portfolio(
             dr.AssetPanel(losses=[[1.0, 2.0, 3.0]], probs=[1.0]),
@@ -235,6 +239,10 @@ def test_panel_csv(tmp_path, kl):
     bad.write_text("a, b\n1.0\n")
     with pytest.raises(DataError, match="line 2"):
         dr.panel_from_csv(bad)
+    nan_p = tmp_path / "nan_p.csv"
+    nan_p.write_text("a, b, p\n-1.0, 1.0, nan\n1.0, -1.0, 2\n")
+    with pytest.raises(DataError):
+        dr.panel_from_csv(nan_p)
     empty = tmp_path / "empty.csv"
     empty.write_text("a, b\n")
     with pytest.raises(DataError):

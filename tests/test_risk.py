@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import divrisk as dr
-from divrisk.errors import InvalidParameterError
+from divrisk.errors import DataError, InvalidParameterError
 
 from conftest import random_dist
 from _oracles import evar_objective_oracle, grid_zoom_min, primal_oracle_2d
@@ -131,6 +131,9 @@ def test_alpha_bar_closed_forms(specs, kl, chi2):
         assert dr.alpha_bar(kl, beta) == pytest.approx(1.0 - math.exp(-beta), abs=1e-10)
     # chi2 at beta = 1: alpha + alpha^2/(1-alpha) = 1 solves to alpha = 1/2
     assert dr.alpha_bar(chi2, 1.0) == pytest.approx(0.5, abs=1e-10)
+    # in general alpha/(1 - alpha) = beta, to full relative precision
+    for beta in (1e-9, 1e-3, 1.0, 50.0):
+        assert dr.alpha_bar(chi2, beta) == pytest.approx(beta / (1.0 + beta), rel=1e-12, abs=0.0)
     for spec in specs.values():
         assert dr.alpha_bar(spec, 1e-9) < 1e-4
         ab = dr.alpha_bar(spec, 2.0)
@@ -218,3 +221,23 @@ def test_batch_matches_scalar(specs):
         for row, expect in zip(X, batch):
             d = dr.EmpiricalDistribution(atoms=row, probs=probs)
             assert dr.evaluate_primal(d, spec, 0.4).value == pytest.approx(expect, abs=1e-10)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.4, 0.6, 1.0],        # sums to 2
+    [0.4, 0.8, -0.2],       # negative
+    [0.5, 0.5],             # too short
+    [0.5, 0.5, 0.0],        # zero
+    [0.5, np.nan, 0.5],
+])
+def test_batch_rejects_invalid_probabilities(kl, probs):
+    X = np.array([[1.0, 0.0, 2.0], [0.5, 0.2, -1.0]])
+    with pytest.raises(DataError):
+        dr.evaluate_primal_batch(X, probs, kl, 0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_batch_rejects_non_finite_atoms(kl, bad):
+    X = np.array([[1.0, 0.0, 2.0], [0.5, bad, -1.0]])
+    with pytest.raises(DataError):
+        dr.evaluate_primal_batch(X, np.full(3, 1.0 / 3.0), kl, 0.5)
