@@ -49,9 +49,15 @@ def _checked(atoms, probs, ndim: int = 1, axis: int = -1):
 class EmpiricalDistribution:
     """Atoms x_i with strictly positive probabilities p_i summing to one.
 
-    Building one checks its inputs and sorts nothing: the order statistics,
-    which only the quantile side (``quantile``, ``avar``, ``spectral_risk``)
-    reads, are built by their first reader and kept on the instance.
+    Building one checks its inputs and sorts nothing.  The order statistics
+    are built by their first reader and kept on the instance: ``_order``, the
+    atoms and their probabilities in a stable ascending order (16 bytes per
+    atom), which the risk evaluation of the chi2 and power:p divergences
+    reads, and ``_cum``, the cumulative masses along that order (8 more),
+    which the quantile side (``quantile``, ``avar``, ``spectral_risk``)
+    reads.  The first reader of either pays the stable sort, which at 1e6
+    atoms costs more than a chi2 evaluation on the sorted atoms; every later
+    reader gets it for free.
     """
 
     atoms: np.ndarray
@@ -64,10 +70,15 @@ class EmpiricalDistribution:
 
     @cached_property
     def _order(self):
-        """(sorted atoms, cumulative masses along them), by a stable sort: tied
-        atoms keep their input order, so the masses add up in a fixed order."""
+        """(sorted atoms, their probabilities), by a stable sort: tied atoms
+        keep their input order, so masses along it add up in a fixed order."""
         order = np.argsort(self.atoms, kind="stable")
-        return self.atoms[order], np.cumsum(self.probs[order])
+        return self.atoms[order], self.probs[order]
+
+    @cached_property
+    def _cum(self):
+        """Cumulative masses along ``_order``."""
+        return np.cumsum(self._order[1])
 
     @property
     def n(self) -> int:
@@ -94,7 +105,7 @@ class EmpiricalDistribution:
         ua = np.asarray(u, dtype=float)
         if np.any((ua < 0) | (ua >= 1)):
             raise InvalidParameterError("quantile level must lie in [0, 1)")
-        xs, cum = self._order
+        xs, cum = self._order[0], self._cum
         idx = np.searchsorted(cum, ua, side="right")
         idx = np.minimum(idx, self.n - 1)
         out = xs[idx]
@@ -108,7 +119,7 @@ class EmpiricalDistribution:
         """
         if not 0 <= alpha < 1:
             raise InvalidParameterError("avar level must lie in [0, 1)")
-        xs, cum = self._order
+        xs, cum = self._order[0], self._cum
         k = int(np.searchsorted(cum, alpha, side="right"))
         k = min(k, self.n - 1)
         tail = xs[k] * (cum[k] - alpha) + float(np.dot(xs[k + 1 :], np.diff(cum)[k:]))
@@ -118,7 +129,7 @@ class EmpiricalDistribution:
         """integral_0^1 sigma(u) F^{-1}(u) du by exact piecewise integration."""
         if not isinstance(sigma, StepSpectrum):
             raise SpectrumError("sigma must be a StepSpectrum")
-        knots = np.union1d(sigma.breaks, np.concatenate(([0.0], self._order[1])))
+        knots = np.union1d(sigma.breaks, np.concatenate(([0.0], self._cum)))
         knots = knots[(knots >= 0.0) & (knots <= 1.0)]
         left, right = knots[:-1], knots[1:]
         widths = right - left

@@ -49,8 +49,21 @@ and starts at the small-beta expansion B(t) ~ Var(X) psi''(phi'(1)) / (2 t^2)
 (the moment start), for kl at the root of a two-point law with the same
 B(0+) where that is larger; specs without psi'' take secant steps from
 t = 1/(1 + beta), each inner solve starting from the previous probe's shift.
-The probe the search accepts last keeps its arrays, which give rho, Z* and
-the residuals without solving for the shift again.
+The final probe's arrays give rho, Z* and the residuals where the search
+ended on it; a bracket that closed above the accepted probe solves its
+shift again, since no probe's arrays are held while the next is made.
+
+The builtin chi2 and power:p specs take none of this where a root exists.
+Their psi' is a power of a ramp, so Z* = (X - a)_+^r / E(X - a)_+^r with
+r = 1/(p - 1), t and nu follow from the threshold a in closed form, and the
+two equations become one monotone equation in a, which reads only the
+atoms above a (:mod:`divrisk.threshold`).  Those atoms are a suffix of the
+order the distribution caches, so a probe is one pass over the suffix and
+no psi' or psi'' pass is made; the regime test, constant rows and the
+boundary case are decided first and in the same way for every spec.  The
+dispatch keys on the spec's name and closed conjugate, as kl's closed-form
+shift does: renamed copies of the builtins, Young and custom specs run the
+search in t.
 """
 
 from __future__ import annotations
@@ -81,6 +94,7 @@ _B_RTOL = 1e-12          # B(t) at the end of the search is within this of beta,
 _WIDEN_ITERS = 64        # doublings allowed for a failed inner bracket end
 _INNER_MAX_ITERS = 100   # Newton/bisection steps allowed per inner solve
 _EPS = float(np.finfo(float).eps)
+_SUM_BLOCK = 16384       # columns per block of a sum that needs a temporary
 
 
 @dataclass(frozen=True)
@@ -135,22 +149,44 @@ def _expect(vals, probs):
 
 
 class _Passes:
-    """n-sized passes of psi' made by one run of the core.
+    """n-sized passes made by one run of the core: of psi', and of the
+    threshold path's moments over the active suffix of the sorted atoms.
 
     One instance is created per :func:`_characterize` call and handed down
     the layers that make the passes, so that rows of one batch share it and
     separate calls never do.
     """
 
-    __slots__ = ("psi_prime",)
+    __slots__ = ("psi_prime", "suffix")
 
     def __init__(self):
         self.psi_prime = 0
+        self.suffix = 0
 
 
 def _closed_kl(spec) -> bool:
     """The builtin kl spec, whose psi' = psi'' = exp(. - 1) has a closed-form shift."""
     return spec.name == "kl" and spec.has_closed_conjugate
+
+
+def _power_family(spec):
+    """(p, kappa) for the builtin chi2 and power:p specs, whose phi is kappa
+    times the power divergence of order p (chi2: p = 2, kappa = 2); None for
+    every other spec, renamed copies of these included.  A power:p name
+    carries p only to 6 digits, so it counts only where phi(0) = 1/p
+    confirms it."""
+    if not spec.has_closed_conjugate:
+        return None
+    if spec.name == "chi2":
+        return 2.0, 2.0
+    if spec.name.startswith("power:"):
+        try:
+            p = float(spec.name[6:])
+        except ValueError:
+            return None
+        if p > 1.0 and spec.phi_at_zero == 1.0 / p:
+            return p, 1.0
+    return None
 
 
 class _RowFacts(NamedTuple):
@@ -417,6 +453,17 @@ def _regime(x, probs, spec, beta):
     return facts, const, ~const & (beta < level), level
 
 
+def _centred_sums(w, z, c, probs):
+    """Row-wise E[w (z - c)] and E[w (z - c)^2], with z - c made in column
+    blocks rather than as one more n-sized array."""
+    a1 = a2 = 0.0
+    for i in range(0, z.shape[1], _SUM_BLOCK):
+        zc, wb, pb = z[:, i : i + _SUM_BLOCK] - c, w[:, i : i + _SUM_BLOCK], probs[i : i + _SUM_BLOCK]
+        a1 = a1 + np.einsum("ij,ij,j->i", wb, zc, pb)
+        a2 = a2 + np.einsum("ij,ij,j->i", wb, np.square(zc, out=zc), pb)
+    return a1, a2
+
+
 def _newton_step(s, h, b, slope, target, level, t_kink):
     """Newton step in s = log t towards B = target, row-wise; NaN where none.
 
@@ -525,9 +572,10 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
 
     Returns (t, nu, z, psi'(z)) of the probe at s_hi, where B < beta on rows
     with a root, and the number of probes made.  z and psi'(z) are the raw
-    arrays of that probe: single-row searches keep them by reference, and
-    rows accepted at different probes are gathered into one pair of arrays.
-    passes counts the psi' passes of the inner solves.
+    arrays of the final probe on rows that ended at it; a probe's arrays are
+    not kept while the next one is made, so rows that ended at an earlier
+    probe (the bracket closed above it) solve the shift again at s_hi, from
+    nu_hi.  passes counts the psi' passes of the inner solves.
     """
     m = y.shape[0]
     s_floor = math.log(_T_FLOOR)
@@ -535,7 +583,6 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
     g_tol = 0.25 * _B_RTOL * beta
     s = np.full(m, -math.log1p(beta))
     s_lo, s_hi, nu_hi = np.full(m, -np.inf), np.full(m, np.inf), np.zeros(m)
-    z_hi = w_hi = None
     newton, t_kink, mean = spec.psi_second is not None, None, None
     kl = _closed_kl(spec)
     if newton:
@@ -565,6 +612,7 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
     nu = None
     done = np.zeros(m, dtype=bool)
     for probes in range(1, _OUTER_MAX_ITERS + 1):
+        z = w = None  # the previous probe's arrays go before the next are made
         act = ~done
         idx = np.flatnonzero(act)
         y_act, facts_act = (y, facts) if idx.size == m else (y[idx], facts.take(idx))
@@ -585,10 +633,7 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
         spare = None
         if newton:  # E[s], E[s (z - c)] and E[s (z - c)^2], s = psi''(z)
             if kl:  # s = psi'(z) = w
-                spare = z - c
-                a0 = mass
-                a1 = np.einsum("ij,ij,j->i", w, spare, probs)
-                a2 = np.einsum("ij,ij,j->i", w, np.square(spare, out=spare), probs)
+                a0, (a1, a2) = mass, _centred_sums(w, z, c, probs)
             else:
                 zc = z - c if c else z
                 spare = np.asarray(spec.psi_second(z))
@@ -599,12 +644,16 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
                 a2 = _expect(spare, probs)
                 del zc
         # B of the density with its mean renormalised, as solve_dual returns
-        # it, so that the margin also covers the inner solve's residual
-        density = np.divide(w, mass[:, None], out=spare)
-        del spare
+        # it, so that the margin also covers the inner solve's residual; for
+        # kl, phi(x) = x log x and log w = z - 1 give it from the slope sums
         b = np.array(target)
-        b[idx] = _expect(spec.phi(density), probs)
-        del density
+        if kl:
+            b[idx] = a1 / a0 - np.log(a0)
+        else:
+            density = np.divide(w, mass[:, None], out=spare)
+            b[idx] = _expect(spec.phi(density), probs)
+            del density
+        del spare
         if not np.all(np.isfinite(b)):
             raise NumericsError("divergence expectation B(t) is not finite")
         if newton:
@@ -620,14 +669,6 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
         below = act & ((g <= 0.0) | hit)
         s_lo = np.where(above, np.maximum(s, s_lo), s_lo)
         s_hi, nu_hi = np.where(below, s, s_hi), np.where(below, nu, nu_hi)
-        keep = below[idx]
-        if keep.all() and idx.size == m:
-            z_hi, w_hi = z, w
-        elif keep.any():
-            if z_hi is None:
-                z_hi, w_hi = np.empty_like(y), np.empty_like(y)
-            z_hi[idx[keep]], w_hi[idx[keep]] = z[keep], w[keep]
-        del z, w
         has_lo, has_hi = np.isfinite(s_lo), np.isfinite(s_hi)
         width = s_hi - s_lo
         done |= hit | (~has_lo & (s_hi <= s_floor))
@@ -663,7 +704,21 @@ def _root_in_log_t(y, probs, spec, beta, attained, level, facts, passes):
         s = np.where(done, s, nxt)
     else:
         raise NumericsError("outer search for B(t) = beta did not converge")
-    return np.exp(s_hi), nu_hi, z_hi, w_hi, probes
+    # z and psi'(z) at s_hi: the final probe's where it ended there, else the
+    # shift is solved again at nu_hi, which its first pass confirms
+    t_hi, keep = np.exp(s_hi), below[idx]
+    if keep.all() and idx.size == m:
+        return t_hi, nu_hi, z, w, probes
+    redo = np.flatnonzero(~below)
+    if redo.size == m:
+        z = w = None
+        _, z_hi, w_hi = _solve_inner_nu(y, probs, spec, t_hi, facts, nu_hi, passes)
+        return t_hi, nu_hi, z_hi, w_hi, probes
+    z_hi, w_hi = np.empty_like(y), np.empty_like(y)
+    z_hi[idx[keep]], w_hi[idx[keep]] = z[keep], w[keep]
+    del z, w
+    _, z_hi[redo], w_hi[redo] = _solve_inner_nu(y[redo], probs, spec, t_hi[redo], facts.take(redo), nu_hi[redo], passes)
+    return t_hi, nu_hi, z_hi, w_hi, probes
 
 
 class _Solution(NamedTuple):
@@ -671,7 +726,7 @@ class _Solution(NamedTuple):
 
     t and mu are NaN on constant rows; on rows without a root they are
     where the search stopped, which only :func:`solve_characterizing_equations`
-    reads.
+    reads, or NaN under chi2 and power:p, which do not search there.
     """
 
     value: np.ndarray
@@ -682,7 +737,7 @@ class _Solution(NamedTuple):
     residuals: np.ndarray  # (m, 2): 1 - E Z and beta - E phi(Z) at (t, mu)
 
 
-def _characterize(x, probs, spec, beta) -> _Solution:
+def _characterize(x, probs, spec, beta, order=None) -> _Solution:
     """The characterizing-equation core for the loss rows x (m, n).
 
     Rows are affinely normalised to [-1, 0], maximum at 0 (exact by positive
@@ -692,8 +747,13 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     Z* = psi'((X - nu)/t) at the end of the search where E phi(Z*) <= beta;
     without one, rho = esssup and Z* is the extreme density on the maximal
     atoms.  Constant rows have rho = X and Z* = 1.  z = (X - nu)/t and Z*
-    are those of the probe the search accepted last, kept, not solved for
-    again at t*.
+    are those of the probe the search accepted last.
+
+    Rows with a root under the builtin chi2 and power:p specs are solved in
+    a threshold by :func:`divrisk.threshold.solve` instead, on the rows
+    sorted: ``order()`` returns them (m, n) with their probabilities, else
+    the rows that need it are sorted here.  Their rows without a root are
+    not searched: t and mu stay NaN there.
     """
     m = x.shape[0]
     facts, const, attained, level = _regime(x, probs, spec, beta)
@@ -701,7 +761,8 @@ def _characterize(x, probs, spec, beta) -> _Solution:
     spread = hi - lo
     value = np.where(const, lo, hi)
     t, mu, residuals = np.full(m, np.nan), np.full(m, np.nan), np.full((m, 2), np.nan)
-    idx = np.flatnonzero(~const)
+    family = _power_family(spec)
+    idx, rows_t = np.flatnonzero(~const & (family is None)), np.flatnonzero(attained & (family is not None))
     probes, passes = 0, _Passes()
     if idx.size:
         y = (x[idx] - hi[idx, None]) / spread[idx, None]
@@ -720,17 +781,40 @@ def _characterize(x, probs, spec, beta) -> _Solution:
         value[rows] = hi[rows] + spread[rows] * np.minimum(q[root], 0.0)
         t[idx] = spread[idx] * t_n
         mu[idx] = (hi[idx] + spread[idx] * nu_n) / t[idx]
-    # Z*: the extreme density, 1 on constant rows, and psi' at the end of
-    # the search on rows with a root (which are all among the rows searched)
-    density = facts.top / facts.p_top[:, None]
-    density[const] = 1.0
-    if attained.any():
-        density[attained] = w[root]
+    if rows_t.size:
+        from . import threshold  # compiled by the first use, not by ``import divrisk``
+
+        xs, ps = threshold.sorted_rows(x[rows_t], probs) if order is None else order()
+        with np.errstate(under="ignore"):
+            q, t_n, nu_n, residuals[rows_t], z_t, n_probes = threshold.solve(
+                x if rows_t.size == m else x[rows_t], probs, xs, ps, hi[rows_t], spread[rows_t], level[rows_t],
+                beta, beta * (1.0 - 0.5 * _B_RTOL), 0.25 * _B_RTOL * beta, family, spec, passes)
+        probes += n_probes
+        value[rows_t] = hi[rows_t] + spread[rows_t] * np.minimum(q, 0.0)
+        t[rows_t] = spread[rows_t] * t_n
+        mu[rows_t] = (hi[rows_t] + spread[rows_t] * nu_n) / t[rows_t]
+    # Z*: the extreme density, 1 on constant rows, and at the end of the
+    # search on rows with a root
+    if rows_t.size == m:
+        density = z_t
+    else:
+        density = facts.top / facts.p_top[:, None]
+        density[const] = 1.0
+        if idx.size and root.any():
+            density[rows] = w[root]
+        if rows_t.size:
+            density[rows_t] = z_t
     log = _debug_logger()
     if log is not None:
-        log.debug("characterize %s: %d rows, %d with a root, %d outer probes, %d psi' passes",
-                  spec.name, m, int(attained.sum()), probes, passes.psi_prime)
+        log.debug("characterize %s: %d rows, %d with a root, %d outer probes, %d psi' passes, %d suffix passes",
+                  spec.name, m, int(attained.sum()), probes, passes.psi_prime, passes.suffix)
     return _Solution(value, t, mu, density, attained, residuals)
+
+
+def _row_order(dist):
+    """The stable order the distribution caches, as one row of each."""
+    xs, ps = dist._order
+    return xs[None, :], ps[None, :]
 
 
 def evaluate_primal_batch(atoms, probs, spec: DivergenceSpec, beta) -> np.ndarray:
@@ -739,7 +823,8 @@ def evaluate_primal_batch(atoms, probs, spec: DivergenceSpec, beta) -> np.ndarra
     atoms: (m, n) matrix, one loss vector per row; probs: (n,), strictly
     positive and summing to one, else DataError.  Returns the (m,) vector of
     risk values.  This is the same solver as evaluate_primal, vectorised
-    across rows.
+    across rows; under chi2 and power:p the rows with a root are sorted once
+    per call.
     """
     beta = _check_beta(beta)
     return _characterize(*_checked(atoms, probs, ndim=2), spec, beta).value
@@ -755,7 +840,7 @@ def evaluate_primal(dist: EmpiricalDistribution, spec: DivergenceSpec, beta) -> 
     is the dual-optimal Z* in either case.
     """
     beta = _check_beta(beta)
-    sol = _characterize(dist.atoms[None, :], dist.probs, spec, beta)
+    sol = _characterize(dist.atoms[None, :], dist.probs, spec, beta, lambda: _row_order(dist))
     value, density = float(sol.value[0]), sol.density[0]
     if not sol.attained[0]:
         return RiskEvaluation(value, None, None, False, None, density)
@@ -773,12 +858,14 @@ def solve_characterizing_equations(
     the second equation is a monotone root-finding problem in log t.  A root
     exists exactly when beta < B(0+) (see ``is_attained``).  At
     beta = B(0+), B only approaches beta as t -> 0; the search then stops at
-    the first t where B is within 1e-12 of beta, an approximate root.
+    the first t where B is within 1e-12 of beta, an approximate root (chi2
+    and power:p, solved in a threshold where a root exists, make no search
+    there and return None).
     Returns (t_star, mu_star) when both residuals there are at most
     ``residual_tol``, else None (constant X, or beta beyond the boundary).
     """
     beta = _check_beta(beta)
-    sol = _characterize(dist.atoms[None, :], dist.probs, spec, beta)
+    sol = _characterize(dist.atoms[None, :], dist.probs, spec, beta, lambda: _row_order(dist))
     if not np.all(np.abs(sol.residuals[0]) <= residual_tol):  # NaN for constant X
         return None
     return float(sol.t[0]), float(sol.mu[0])
@@ -853,13 +940,17 @@ def alpha_bar(spec: DivergenceSpec, beta) -> float:
     the cap it is the root of log beta - log load in s = log(-log(1 - alpha)),
     with 1 - alpha = exp(-e^s) and alpha = -expm1(-e^s) both to full relative
     precision, returned at the bracket end where the load is below beta.
-    The convention 0*alpha = 0 is used when phi(0) = 0.
+    Under kl the load is -log(1 - alpha) exactly, so alpha_bar is
+    -expm1(-beta) in closed form: the search would round the load through
+    1/(1 - alpha).  The convention 0*alpha = 0 is used when phi(0) = 0.
     """
     beta = _check_beta(beta)
     cap = 1.0 - 1e-15
     if _extreme_divergence(spec, 1.0 - cap, cap) <= beta:
         return cap
 
+    if _closed_kl(spec):  # the load is -log(1 - alpha)
+        return -math.expm1(-beta)
     s_cap = math.log(-math.log1p(-cap))
 
     def g(s):  # the load at the cap exceeds beta, and so beyond it

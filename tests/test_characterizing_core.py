@@ -12,6 +12,7 @@ of its largest atom, so comparisons in those units allow n ulps of max|X|
 on top of the relative tolerance.
 """
 
+import dataclasses
 import logging
 import math
 
@@ -184,6 +185,34 @@ def test_subadditive(specs, problem, seed, ratio):
     assert values[2] <= values[0] + values[1] + tol
 
 
+POWER_NAMES = ("chi2", "power:1.5", "power:3")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(risk_problems(names=POWER_NAMES), st.sampled_from([None, 1e-9, -1e-9]))
+def test_threshold_path_agrees_with_the_core(specs, problem, rel_override):
+    # a renamed copy of a builtin takes the search in t; the builtin itself
+    # solves for the threshold on the sorted atoms
+    name, dist, rel = problem
+    spec = specs[name]
+    core = dataclasses.replace(spec, name=f"{name} (core)")
+    beta = _beta(spec, dist, rel if rel_override is None else rel_override)
+    ev, ref = dr.evaluate_primal(dist, spec, beta), dr.evaluate_primal(dist, core, beta)
+    assert ev.attained == ref.attained
+    assert abs(ev.value - ref.value) <= _value_tol(dist, beta), (name, rel, ev.value, ref.value)
+    p, z = dist.probs, ev.density
+    assert np.all(z >= 0.0)
+    assert abs(float(np.einsum("i,i->", p, z)) - 1.0) <= 1e-12
+    if ev.attained:
+        assert float(np.einsum("i,i->", p, spec.phi(z))) <= beta
+    # each row of a batch is the single-row evaluation
+    rows = np.stack([dist.atoms, -dist.atoms, np.zeros(dist.n)])
+    batch = dr.evaluate_primal_batch(rows, p, spec, beta)
+    for row, value in zip(rows, batch):
+        single = dr.evaluate_primal(_on_same_atoms(dist, row), spec, beta).value
+        assert abs(value - single) <= _value_tol(_on_same_atoms(dist, row), beta), (name, rel, value, single)
+
+
 def test_kl_just_beyond_the_boundary_is_not_attained(kl):
     # B(0+) = log 2 on [0, 1]; just above it the equations have no root
     d = dr.from_samples([0.0, 1.0])
@@ -219,6 +248,46 @@ def test_power3_residuals_with_a_tiny_top_probability(specs):
     r1, r2 = ev.residuals
     assert abs(r1) <= 1e-12
     assert abs(r2) <= 1e-12 * beta
+
+
+def test_power_threshold_root_between_adjacent_floats(specs):
+    # nearly all mass on one atom well below a 1e-12 maximum: B moves by more
+    # than the hit tolerance per ulp of the search variable, so the root can
+    # only be bracketed; the search once stalled at a Newton step below an ulp
+    atoms = np.array([float.fromhex(h) for h in
+                      ("0x1.abc50fc8ee6e6p-30", "0x1.dafcf4d333bd4p-30", "0x1.8aca4a59c9da8p-37", "0x1.835bf0270dd0cp-31")])
+    tiny = float.fromhex("0x1.78a4779bf9b19p-40")
+    d = dr.EmpiricalDistribution(atoms=atoms, probs=np.array([tiny, tiny, tiny, float.fromhex("0x1.fffffffff72c2p-1")]))
+    spec = specs["power:1.5"]
+    ev = dr.evaluate_primal(d, spec, 0.5)
+    ref = dr.evaluate_primal(d, dataclasses.replace(spec, name="power:1.5 (core)"), 0.5)
+    assert ev.attained and abs(ev.value - ref.value) <= _value_tol(d, 0.5)
+    assert 0.0 <= ev.residuals[1] <= 1e-11
+
+
+HEAVY_ATOM_CASES = [
+    # two top atoms of mass 1e-14 above one of mass 3.9e-3: the root lies
+    # within 1e-20 of the heavy atom, which must become the anchor; the search
+    # once accepted a density with E phi(Z) at 3e-10 beta and returned esssup
+    ("power:3", [-2e6, -14188.0, -7124.0, 0.0], [1.0 - 3.9e-3 - 2e-14, 3.9e-3, 1e-14, 1e-14], 0.1),
+    # nearly all mass on an atom below the anchor: the bracket closes on
+    # adjacent floats without a hit unless that atom becomes the anchor; the
+    # search once stopped with E phi(Z) up to 2e-5 beta short of beta
+    ("chi2", [0.26, 0.54, 0.88, 2.31], [1.8e-12, 1.0 - 5.4e-12, 1.8e-12, 1.8e-12], 0.1),
+    ("chi2", [0.26e-9, 0.54e-9, 0.88e-9, 2.31e-9], [1.8e-12, 1.0 - 5.4e-12, 1.8e-12, 1.8e-12], 0.5),
+    ("power:1.5", [0.26, 0.54, 0.88, 2.31], [1.8e-12, 1.0 - 5.4e-12, 1.8e-12, 1.8e-12], 0.1),
+]
+
+
+@pytest.mark.parametrize("name, atoms, probs, ratio", HEAVY_ATOM_CASES)
+def test_power_threshold_root_beside_a_heavy_atom(specs, name, atoms, probs, ratio):
+    spec = specs[name]
+    d = dr.EmpiricalDistribution(atoms=np.array(atoms), probs=np.array(probs))
+    beta = ratio * boundary_level(spec, d)
+    ev = dr.evaluate_primal(d, spec, beta)
+    ref = dr.evaluate_primal(d, dataclasses.replace(spec, name=f"{name} (core)"), beta)
+    assert ev.attained and abs(ev.value - ref.value) <= _value_tol(d, beta)
+    assert 0.0 <= ev.residuals[1] <= 1e-11 * beta, ev.residuals
 
 
 def test_debug_log_line_per_core_run(caplog, kl):

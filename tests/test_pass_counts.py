@@ -4,15 +4,21 @@ Each builtin spec is wrapped so that every call to psi', psi'' and phi is
 counted; one evaluate_primal on a seeded t(4) sample must stay within the
 bounds below.  The bounds are about 1.25x the counts the Newton outer search
 makes (kl, chi2, power:1.5, power:3 at beta 0.1 / 0.5 / 2 on n = 1000 atoms,
-kl and chi2 at beta 0.5 on n = 1e6): a search that falls back to bisection,
-an inner solve that loses its warm start or checks bracket ends it does not
-need, or a shift solved again at t*, exceeds them.  psi'' counts include the
+at beta 0.5 on n = 1e6): a search that falls back to bisection, an inner
+solve that loses its warm start or checks bracket ends it does not need, or
+a shift solved again at t*, exceeds them.  psi'' counts include the
 (rows,)-sized calls of the inner Newton step as well as the n-sized passes.
 kl makes one psi' pass per probe, since its shift is closed form, and its
-one psi'' call is the scalar psi''(phi'(1)) of the start.
+one psi'' call is the scalar psi''(phi'(1)) of the start; its probes take B
+from their slope sums, so its phi calls are the scalar phi(1/p) of the
+regime test and the residual at the end.  chi2 and power:p solve for a
+threshold on the sorted atoms and make no psi' or psi'' pass at all: their
+phi calls are the regime test's and the one check of the density they
+return, and their n-sized passes are the moment passes over the active
+suffix, bounded in the same way.
 
-The core logs the psi' passes it made on its DIVRISK_LOG=debug line; that
-count must equal the wrapped count.
+The core logs the psi' and suffix passes it made on its DIVRISK_LOG=debug
+line; the psi' count must equal the wrapped count.
 
 The facts the search reads of each row (its minimum, maximum and top mass)
 are computed once per evaluation, not once per probe: the ndarray min and
@@ -44,19 +50,34 @@ BOUNDS = {
     ("kl", 0.1): (5, 2, 8),
     ("kl", 0.5): (5, 2, 8),
     ("kl", 2.0): (7, 2, 9),
-    ("chi2", 0.1): (8, 12, 8),
-    ("chi2", 0.5): (9, 14, 8),
-    ("chi2", 2.0): (14, 23, 9),
-    ("power:1.5", 0.1): (12, 20, 7),
-    ("power:1.5", 0.5): (13, 22, 8),
-    ("power:1.5", 2.0): (15, 27, 8),
-    ("power:3", 0.1): (19, 33, 9),
-    ("power:3", 0.5): (28, 49, 10),
-    ("power:3", 2.0): (25, 44, 10),
+    ("chi2", 0.1): (0, 0, 2),
+    ("chi2", 0.5): (0, 0, 2),
+    ("chi2", 2.0): (0, 0, 2),
+    ("power:1.5", 0.1): (0, 0, 2),
+    ("power:1.5", 0.5): (0, 0, 2),
+    ("power:1.5", 2.0): (0, 0, 2),
+    ("power:3", 0.1): (0, 0, 2),
+    ("power:3", 0.5): (0, 0, 2),
+    ("power:3", 2.0): (0, 0, 2),
 }
 # at n = 1e6, beta 0.5
-LARGE_BOUNDS = {"kl": (7, 2, 9), "chi2": (13, 22, 8)}
+LARGE_BOUNDS = {"kl": (7, 2, 9), "chi2": (0, 0, 2)}
 COUNTED = ("psi_prime", "psi_second", "phi")
+# (n, spec, beta): moment passes over the active suffix allowed per evaluation
+SUFFIX_BOUNDS = {
+    (1000, "chi2", 0.1): 5,
+    (1000, "chi2", 0.5): 5,
+    (1000, "chi2", 2.0): 6,
+    (1000, "power:1.5", 0.1): 5,
+    (1000, "power:1.5", 0.5): 5,
+    (1000, "power:1.5", 2.0): 5,
+    (1000, "power:3", 0.1): 9,
+    (1000, "power:3", 0.5): 8,
+    (1000, "power:3", 2.0): 9,
+    (10**6, "chi2", 0.5): 6,
+    (10**6, "power:1.5", 0.5): 6,
+    (10**6, "power:3", 0.5): 8,
+}
 # spec: n-sized passes allowed to (luxemburg, orlicz, young_norm_bound, dual_norm)
 NORM_BOUNDS = {
     "kl": (18, 34, 29, 18),
@@ -66,9 +87,9 @@ NORM_BOUNDS = {
 }
 
 # spec: ndarray min and max reductions allowed per evaluation, at every beta
-# (the row minimum and maximum, and for specs whose psi' vanishes below
-# phi'(0) the largest atom below the maximum, which bounds t from below)
-MINMAX_BOUNDS = {"kl": 3, "chi2": 4, "power:1.5": 4, "power:3": 4}
+# (the row minimum and maximum; chi2 and power:p read the largest atom below
+# the maximum from the sorted atoms)
+MINMAX_BOUNDS = {"kl": 3, "chi2": 2, "power:1.5": 2, "power:3": 2}
 # spec: risk evaluations allowed per portfolio solve at the defaults, 50 x 4
 PORTFOLIO_BOUNDS = {"kl": 21, "chi2": 21, "power:1.5": 25, "power:3": 25}
 # 2000 x 20, any builtin
@@ -114,6 +135,17 @@ def test_calls_per_evaluation_at_a_million_atoms(specs, name):
     assert dr.evaluate_primal(_t4_sample(1_000_000), _counting(specs[name], counts), 0.5).attained
     for k, bound in zip(COUNTED, LARGE_BOUNDS[name]):
         assert counts[k] <= bound, (k, counts)
+
+
+@pytest.mark.parametrize("n, name, beta", sorted(SUFFIX_BOUNDS))
+def test_suffix_passes_per_evaluation(specs, caplog, n, name, beta):
+    dist = _t4_sample(n)
+    with caplog.at_level(logging.DEBUG, logger="divrisk.risk"):
+        assert dr.evaluate_primal(dist, specs[name], beta).attained
+    line = [r.getMessage() for r in caplog.records if r.name == "divrisk.risk"][-1]
+    assert "0 psi' passes" in line, line
+    passes = int(re.search(r"(\d+) suffix passes", line).group(1))
+    assert 0 < passes <= SUFFIX_BOUNDS[n, name, beta], line
 
 
 def _array_method_calls(fn, names):

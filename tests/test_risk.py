@@ -134,6 +134,10 @@ def test_alpha_bar_closed_forms(specs, kl, chi2):
     # in general alpha/(1 - alpha) = beta, to full relative precision
     for beta in (1e-9, 1e-3, 1.0, 50.0):
         assert dr.alpha_bar(chi2, beta) == pytest.approx(beta / (1.0 + beta), rel=1e-12, abs=0.0)
+    # kl's load is -log(1 - alpha), so alpha_bar = 1 - exp(-beta) to full
+    # relative precision, down to the smallest beta (below the 1 - 1e-15 cap)
+    for beta in (1e-300, 1e-12, 1e-9, 1e-3, 1.0, 50.0):
+        assert dr.alpha_bar(kl, beta) == pytest.approx(-math.expm1(-beta), rel=1e-14, abs=0.0)
     for spec in specs.values():
         assert dr.alpha_bar(spec, 1e-9) < 1e-4
         ab = dr.alpha_bar(spec, 2.0)
